@@ -163,13 +163,19 @@ def scc_classes(surface, limit: float):
     return out
 
 
-def scc_census(surface, limit: float, grid=None) -> CensusTable:
-    """Counts of simple closed geodesics up to each grid length."""
+def _census_grid(limit: float, grid):
+    """Sorted grid, one point per unit of ``limit`` by default."""
     if grid is None:
         grid = make_grid(limit, max(1, int(limit)))
     grid = sorted(grid)
     if grid[-1] > limit:
         raise InputError(f"grid reaches {grid[-1]} beyond limit {limit}")
+    return grid
+
+
+def scc_census(surface, limit: float, grid=None) -> CensusTable:
+    """Counts of simple closed geodesics up to each grid length."""
+    grid = _census_grid(limit, grid)
     lengths = sorted(ell for _, _, ell in scc_classes(surface, limit))
     rows = tuple((L, bisect_right(lengths, L)) for L in grid)
     return CensusTable(rows=rows, meta={
@@ -187,11 +193,7 @@ def mlz_census(surface, limit: float, grid=None):
     over the curve census.  The ratio column estimates the Thurston
     measure of the unit length ball.
     """
-    if grid is None:
-        grid = make_grid(limit, max(1, int(limit)))
-    grid = sorted(grid)
-    if grid[-1] > limit:
-        raise InputError(f"grid reaches {grid[-1]} beyond limit {limit}")
+    grid = _census_grid(limit, grid)
     lengths = [ell for _, _, ell in scc_classes(surface, limit)]
     rows = []
     ratios = []

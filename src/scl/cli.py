@@ -131,26 +131,18 @@ def _cmd_length(cfg, args):
     return 0
 
 
-def _orbit_rows(cfg, args):
+def _cmd_orbit_count(cfg, args):
     eta = currents.parse_current(args.seed, cfg.surface)
     spec = currents.parse_functional(args.functional)
-    exhausted = True
     try:
         ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
                               surface=cfg.surface, cap=cfg.max_ball, mode=args.mode)
     except ResourceLimitError as exc:
         ball = exc.partial
-        exhausted = False
-    grid = census.make_grid(args.L, args.grid)
-    table = census.count_by_length(ball, grid)
+    table = census.count_by_length(ball, census.make_grid(args.L, args.grid))
     rows = [(L, n, ball.frontier_exhausted) for L, n in table.rows]
-    return ball, rows, exhausted
-
-
-def _cmd_orbit_count(cfg, args):
-    _, rows, exhausted = _orbit_rows(cfg, args)
     _emit_csv(cfg, ("L", "count", "frontier_exhausted"), rows)
-    return 0 if exhausted else 4
+    return 0 if ball.frontier_exhausted else 4
 
 
 def _cmd_scc_count(cfg, args):
@@ -168,8 +160,13 @@ def _cmd_mlz_count(cfg, args):
 def _cmd_fibers(cfg, args):
     eta = currents.parse_current(args.seed, cfg.surface)
     spec = currents.parse_functional(args.functional)
-    ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
-                          surface=cfg.surface, cap=cfg.max_ball)
+    try:
+        ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
+                              surface=cfg.surface, cap=cfg.max_ball)
+    except ResourceLimitError as exc:
+        _emit_json(cfg, {"L": args.L, "ball_size": exc.partial.count_leq(args.L),
+                         "frontier_exhausted": False})
+        raise
     hist = census.fiber_histogram(ball)
     _emit_json(cfg, {
         "L": args.L,

@@ -109,35 +109,54 @@ class RationalSubsetCurrent:
         return len(self.terms)
 
 
-@lru_cache(maxsize=None)
 def boundary_report(h: SubgroupClass, surface) -> ribbon.BoundaryReport:
     return ribbon.classify_boundary(h.graph, surface.ribbon_order, surface)
 
 
-@lru_cache(maxsize=None)
-def subgroup_boundary(h: SubgroupClass, surface) -> Multicurve:
-    """B(eta_H): half the boundary of the thickened core graph.
+@dataclass(frozen=True, slots=True)
+class Shadow:
+    """The shadows of one subgroup class H that every census reads:
+    its boundary image B(eta_H), chi(H), and lsc, the length of B."""
 
-    A walk reading u^m puts weight m/2 on the primitive class u; cusp
-    walks contribute nothing.  A cyclic subgroup has two mutually inverse
-    walks, so it projects to its own class with full weight, and a
-    complete cover has all-cusp boundary and projects to zero.
+    boundary: Multicurve
+    chi: int
+    lsc: float
+
+
+@lru_cache(maxsize=None)
+def shadow(h: SubgroupClass, surface) -> Shadow:
+    """The shadow record of ``h``; the one cache keyed by subgroup class.
+
+    A boundary walk reading u^m puts weight m/2 on the primitive class u;
+    cusp walks contribute nothing.  A cyclic subgroup has two mutually
+    inverse walks, so it projects to its own class with full weight, and
+    a complete cover has all-cusp boundary and projects to zero.
     """
     acc = {}
     for root, kind, power in boundary_report(h, surface).cycles:
         if kind == "cusp":
             continue
         acc[root] = acc.get(root, 0) + Fraction(power, 2)
+    bnd = Multicurve.from_dict(acc)
+    return Shadow(boundary=bnd, chi=h.euler_char, lsc=length_gc(bnd, surface))
+
+
+def subgroup_boundary(h: SubgroupClass, surface) -> Multicurve:
+    """B(eta_H): half the boundary of the thickened core graph."""
+    return shadow(h, surface).boundary
+
+
+def _project(terms, surface) -> Multicurve:
+    acc = {}
+    for h, w in terms:
+        for c, bw in shadow(h, surface).boundary.items:
+            acc[c] = acc.get(c, 0) + w * bw
     return Multicurve.from_dict(acc)
 
 
 def boundary_projection(eta: RationalSubsetCurrent, surface) -> Multicurve:
     """Q-linear extension of the subgroup boundary map."""
-    acc = {}
-    for h, w in eta.terms:
-        for c, bw in subgroup_boundary(h, surface).items:
-            acc[c] = acc.get(c, 0) + w * bw
-    return Multicurve.from_dict(acc)
+    return _project(eta.terms, surface)
 
 
 def length_gc(mc: Multicurve, surface) -> float:
@@ -164,17 +183,39 @@ def area(eta: RationalSubsetCurrent):
     return -2.0 * math.pi * float(chi), chi
 
 
-def evaluate_functional(spec, eta: RationalSubsetCurrent, surface) -> float:
-    """alpha * length_sc + beta * area for spec = (alpha, beta) >= 0."""
+def check_functional(spec) -> None:
+    """Raise unless spec = (alpha, beta) is nonnegative and not both zero."""
     alpha, beta = spec
     if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise InputError(f"functional spec must be nonnegative and nonzero, got {spec}")
+        raise InputError(
+            f"functional weights must be nonnegative and not both zero, got {alpha},{beta}")
+
+
+def evaluate(spec, terms, surface):
+    """Value of alpha * length_sc + beta * area on the (class, weight)
+    ``terms``, and the canonical item key of their boundary image.
+
+    The value is summed class by class in term order, as
+    alpha*w*lsc_H + beta*w*(-2 pi chi_H), so one current always gets one
+    float whichever caller asks.
+    """
+    alpha, beta = float(spec[0]), float(spec[1])
     value = 0.0
-    if alpha:
-        value += alpha * length_sc(eta, surface)
-    if beta:
-        value += beta * area(eta)[0]
-    return value
+    for h, w in terms:
+        s = shadow(h, surface)
+        wf = float(w)
+        if alpha:
+            value += alpha * wf * s.lsc
+        if beta:
+            value += beta * wf * (-2.0 * math.pi * s.chi)
+    b_key = tuple((c.letters, bw) for c, bw in _project(terms, surface).items)
+    return value, b_key
+
+
+def evaluate_functional(spec, eta: RationalSubsetCurrent, surface) -> float:
+    """alpha * length_sc + beta * area for spec = (alpha, beta) >= 0."""
+    check_functional(spec)
+    return evaluate(spec, eta.terms, surface)[0]
 
 
 FUNCTIONAL_PRESETS = {"lsc": (1, 0), "area": (0, 1), "la": (1, 1)}
@@ -191,8 +232,7 @@ def parse_functional(text: str):
         alpha, beta = Fraction(parts[0]), Fraction(parts[1])
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad functional weights in {text!r}")
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise InputError(f"functional weights must be nonnegative and not both zero")
+    check_functional((alpha, beta))
     return alpha, beta
 
 

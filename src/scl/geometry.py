@@ -103,9 +103,12 @@ def validate(s: SurfaceStructure) -> list:
         if not p:
             problems.append(f"peripheral_words[{j}]: trivial word")
             continue
-        t = holonomy_trace(p, s)
-        ok = abs(t) == 2 if s.exact else abs(abs(t) - 2) <= PARABOLIC_TOL
-        if not ok:
+        try:
+            t = holonomy_trace(p, s)
+        except InputError as exc:
+            problems.append(f"peripheral_words[{j}]: {exc}")
+            continue
+        if not _is_parabolic_trace(t, s.exact):
             problems.append(f"peripheral_words[{j}]: |trace| = {abs(t)}, not parabolic")
     if not problems:
         # the thickened bouquet must close up to this surface: one boundary

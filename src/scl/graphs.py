@@ -27,53 +27,35 @@ class CoreGraph:
     """Labeled directed graph over a rank-n alphabet.
 
     ``edges`` is a tuple of ``(src, dst, label)`` with labels in ``[0, n)``.
-    Immutable after construction; adjacency maps are built lazily.
+    Immutable after construction; the neighbor tables are built lazily.
     """
 
-    __slots__ = ("vertex_count", "edges", "rank", "basepoint", "_out", "_in", "_key")
+    __slots__ = ("vertex_count", "edges", "rank", "basepoint", "_tables", "_key")
 
     def __init__(self, vertex_count, edges, rank, basepoint=None):
         self.vertex_count = vertex_count
         self.edges = tuple(edges)
         self.rank = rank
         self.basepoint = basepoint
-        self._out = None
-        self._in = None
+        self._tables = None
         self._key = None
 
-    def _adjacency(self):
-        if self._out is None:
-            out = [dict() for _ in range(self.rank)]
-            inn = [dict() for _ in range(self.rank)]
-            for eid, (u, v, lab) in enumerate(self.edges):
-                out[lab][u] = (v, eid)
-                inn[lab][v] = (u, eid)
-            self._out, self._in = out, inn
-        return self._out, self._in
-
     @property
-    def out_nbr(self):
-        return self._adjacency()[0]
-
-    @property
-    def in_nbr(self):
-        return self._adjacency()[1]
-
-    @property
-    def edge_count(self):
-        return len(self.edges)
+    def tables(self):
+        """Neighbor maps ``v -> w``, two per label: ``tables[2 * lab]``
+        follows the edge forward, ``tables[2 * lab + 1]`` backward."""
+        if self._tables is None:
+            tables = [dict() for _ in range(2 * self.rank)]
+            for u, v, lab in self.edges:
+                tables[2 * lab][u] = v
+                tables[2 * lab + 1][v] = u
+            self._tables = tables
+        return self._tables
 
     @property
     def cycle_rank(self):
         """E - V + 1, the rank of the represented subgroup."""
         return len(self.edges) - self.vertex_count + 1
-
-    def degrees(self):
-        deg = [0] * self.vertex_count
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
     def __repr__(self):
         return (f"CoreGraph(V={self.vertex_count}, E={len(self.edges)}, "
@@ -225,14 +207,13 @@ def contains(g: CoreGraph, w) -> bool:
     """Membership: does ``w`` trace a closed path at the basepoint?"""
     w = words.reduce(w)
     words.check_rank(w, g.rank)
-    out, inn = g._adjacency()
+    tables = g.tables
     base = g.basepoint if g.basepoint is not None else 0
     v = base
     for l in w:
-        step = out[l - 1].get(v) if l > 0 else inn[-l - 1].get(v)
-        if step is None:
+        v = tables[2 * l - 2 if l > 0 else -2 * l - 1].get(v)
+        if v is None:
             return False
-        v = step[0]
     return v == base
 
 
@@ -256,7 +237,6 @@ def _vertex_profiles(g: CoreGraph):
 
 
 def _encode_from(tables, start, width):
-    # tables: flat per-(label, direction) neighbor dicts, v -> w
     order = {start: 0}
     verts = [start]
     enc = [-1] * width
@@ -288,37 +268,43 @@ def canonical_key(g: CoreGraph) -> bytes:
     profiles = _vertex_profiles(g)
     best_profile = max(profiles)
     starts = [v for v, p in enumerate(profiles) if p == best_profile]
-    out, inn = g._adjacency()
-    tables = []
-    for lab in range(g.rank):
-        tables.append({v: step[0] for v, step in out[lab].items()})
-        tables.append({v: step[0] for v, step in inn[lab].items()})
     width = 2 * g.rank * g.vertex_count
-    enc = min(_encode_from(tables, s, width) for s in starts)
+    enc = min(_encode_from(g.tables, s, width) for s in starts)
     key = b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
     g._key = key
     return key
 
 
-def spanning_generators(g: CoreGraph):
-    """Free basis of the subgroup: one word per non-tree edge of a BFS tree."""
+def _spanning_tree(g: CoreGraph):
+    """BFS spanning tree from the basepoint (vertex 0 if there is none).
+
+    Returns ``parent``, mapping each vertex to ``(previous vertex, signed
+    letter into it)`` or None at the root, and the tree edges as
+    ``(src, dst, label)`` triples, which name an edge of a folded graph.
+    """
     base = g.basepoint if g.basepoint is not None else 0
-    out, inn = g._adjacency()
-    parent = {base: None}  # v -> (previous vertex, signed letter into v)
+    tables = g.tables
+    parent = {base: None}
     order = [base]
-    tree_eids = set()
+    tree = set()
     for v in order:
         for lab in range(g.rank):
-            step = out[lab].get(v)
-            if step is not None and step[0] not in parent:
-                parent[step[0]] = (v, lab + 1)
-                order.append(step[0])
-                tree_eids.add(step[1])
-            step = inn[lab].get(v)
-            if step is not None and step[0] not in parent:
-                parent[step[0]] = (v, -(lab + 1))
-                order.append(step[0])
-                tree_eids.add(step[1])
+            w = tables[2 * lab].get(v)
+            if w is not None and w not in parent:
+                parent[w] = (v, lab + 1)
+                order.append(w)
+                tree.add((v, w, lab))
+            w = tables[2 * lab + 1].get(v)
+            if w is not None and w not in parent:
+                parent[w] = (v, -(lab + 1))
+                order.append(w)
+                tree.add((w, v, lab))
+    return parent, tree
+
+
+def spanning_generators(g: CoreGraph):
+    """Free basis of the subgroup: one word per non-tree edge of a BFS tree."""
+    parent, tree = _spanning_tree(g)
 
     def path_to(v):
         rev = []
@@ -330,8 +316,8 @@ def spanning_generators(g: CoreGraph):
         return rev
 
     gens = []
-    for eid, (u, v, lab) in enumerate(g.edges):
-        if eid in tree_eids:
+    for u, v, lab in g.edges:
+        if (u, v, lab) in tree:
             continue
         gens.append(words.concat(path_to(u), (lab + 1,), words.inverse(path_to(v))))
     return gens
@@ -436,23 +422,7 @@ def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CA
     returned graph is a connected k-sheeted cover: V' = kV, E' = kE.
     """
     g = h.graph
-    out, inn = g._adjacency()
-    base = 0
-    path = {base: True}
-    order = [base]
-    tree = set()
-    for v in order:
-        for lab in range(g.rank):
-            step = out[lab].get(v)
-            if step is not None and step[0] not in path:
-                path[step[0]] = True
-                order.append(step[0])
-                tree.add((v, step[0], lab))
-            step = inn[lab].get(v)
-            if step is not None and step[0] not in path:
-                path[step[0]] = True
-                order.append(step[0])
-                tree.add((step[0], v, lab))
+    _, tree = _spanning_tree(g)
     non_tree = [e for e in g.edges if e not in tree]
     m = len(non_tree)
     assert m == g.cycle_rank

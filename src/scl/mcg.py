@@ -11,7 +11,6 @@ callers re-check stability under a larger margin where it matters.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -115,19 +114,6 @@ def act_on_current(phi: MappingClass, eta: RationalSubsetCurrent,
         (act_on_subgroup(phi, h, surface), w) for h, w in eta.terms)
 
 
-class _ClassData:
-    """Per-subgroup-class shadow values shared across the ball."""
-
-    __slots__ = ("cls", "b_items", "chi", "lsc")
-
-    def __init__(self, h: SubgroupClass, surface):
-        self.cls = h
-        bnd = currents.subgroup_boundary(h, surface)
-        self.b_items = bnd.items
-        self.chi = h.euler_char
-        self.lsc = currents.length_gc(bnd, surface)
-
-
 @dataclass
 class OrbitBall:
     """Explored region of a mapping-class orbit of rational currents.
@@ -170,12 +156,15 @@ def _ball_cap(cap):
     if cap is not None:
         return cap
     env = os.environ.get(BALL_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{BALL_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_BALL_CAP
+    if not env:
+        return DEFAULT_BALL_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise InputError(f"{BALL_CAP_ENV} must be an integer, got {env!r}")
+    if cap <= 0:
+        raise InputError(f"{BALL_CAP_ENV} must be positive, got {cap}")
+    return cap
 
 
 def orbit_ball(seed, functional, L, margin=1.5, *,
@@ -188,10 +177,12 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
     multiset of term keys in "eta" mode, the ordered term tuple in "J"
     mode (the two orbit counts differ exactly by the term-permutation
     stabilizer).
+
+    With alpha = 0 every element of an orbit with nonzero boundary image
+    has the seed's value, so a seed inside ``margin * L`` would explore
+    the whole infinite orbit; that input is rejected up front.
     """
-    alpha, beta = functional
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise InputError(f"functional spec must be nonnegative and nonzero: {functional}")
+    currents.check_functional(functional)
     if L <= 0:
         raise InputError(f"cutoff L must be positive, got {L}")
     if margin < 1:
@@ -202,55 +193,33 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
     if twists is None:
         twists = twist_generators(surface)
 
-    registry = {}   # class key -> _ClassData
-    act_cache = {}  # (twist index, class key) -> class key
-
-    def class_data(h: SubgroupClass) -> _ClassData:
-        data = registry.get(h.key)
-        if data is None:
-            data = _ClassData(h, surface)
-            registry[h.key] = data
-        return data
-
-    alpha_f, beta_f = float(alpha), float(beta)
-
-    def evaluate(term_pairs):
-        value = 0.0
-        bacc = {}
-        for key, w in term_pairs:
-            data = registry[key]
-            wf = float(w)
-            if alpha_f:
-                value += alpha_f * wf * data.lsc
-            if beta_f:
-                value += beta_f * wf * (-2.0 * math.pi * data.chi)
-            for c, bw in data.b_items:
-                bacc[c] = bacc.get(c, 0) + w * bw
-        b_key = tuple(sorted(((c.letters, bw) for c, bw in bacc.items())))
-        return value, b_key
+    registry = {}   # class key -> the one SubgroupClass kept for it
+    act_cache = {}  # (twist index, class key) -> image SubgroupClass
 
     def canon(term_pairs):
         if mode == "J":
-            return tuple(term_pairs)
+            return tuple((h.key, w) for h, w in term_pairs)
         acc = {}
-        for key, w in term_pairs:
-            acc[key] = acc.get(key, 0) + w
+        for h, w in term_pairs:
+            acc[h.key] = acc.get(h.key, 0) + w
         return tuple(sorted(acc.items()))
 
     term_source = seed.terms if isinstance(seed, RationalSubsetCurrent) \
         else tuple((h, Fraction(w)) for h, w in seed)
     if not isinstance(seed, RationalSubsetCurrent):
         seed = RationalSubsetCurrent.from_terms(term_source)
-    seed_pairs = []
-    for h, w in term_source:
-        class_data(h)
-        seed_pairs.append((h.key, Fraction(w)))
+    seed_pairs = [(registry.setdefault(h.key, h), Fraction(w)) for h, w in term_source]
     seed_key = canon(seed_pairs)
 
     explore_bound = margin * L
-    elements = {seed_key: evaluate(seed_pairs)}
+    seed_record = currents.evaluate(functional, seed_pairs, surface)
+    if not functional[0] and seed_record[1] and seed_record[0] <= explore_bound:
+        raise InputError(
+            f"with alpha = 0 every element of this orbit has value {seed_record[0]} "
+            "<= margin * L, so the ball would be the whole infinite orbit")
+    elements = {seed_key: seed_record}
     queue = deque()
-    if elements[seed_key][0] <= explore_bound:
+    if seed_record[0] <= explore_bound:
         queue.append(seed_key)
 
     def fail_partial():
@@ -265,17 +234,16 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
         for t_idx, phi in enumerate(twists):
             new_pairs = []
             for cls_key, w in key:
-                img_key = act_cache.get((t_idx, cls_key))
-                if img_key is None:
-                    img = act_on_subgroup(phi, registry[cls_key].cls, surface)
-                    class_data(img)
-                    img_key = img.key
-                    act_cache[(t_idx, cls_key)] = img_key
-                new_pairs.append((img_key, w))
+                img = act_cache.get((t_idx, cls_key))
+                if img is None:
+                    img = act_on_subgroup(phi, registry[cls_key], surface)
+                    img = registry.setdefault(img.key, img)
+                    act_cache[(t_idx, cls_key)] = img
+                new_pairs.append((img, w))
             new_key = canon(new_pairs)
             if new_key in elements:
                 continue
-            record = evaluate(new_pairs)
+            record = currents.evaluate(functional, new_pairs, surface)
             elements[new_key] = record
             if len(elements) > cap:
                 fail_partial()

@@ -50,15 +50,9 @@ def check_rank(w, rank: int) -> None:
 
 def reduce(raw) -> Word:
     """Freely reduce a letter sequence (stack cancellation)."""
-    out = []
-    for l in raw:
-        if l == 0:
-            raise InputError("letter 0 is not a generator")
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
+    if 0 in raw:
+        raise InputError("letter 0 is not a generator")
+    return concat(raw)
 
 
 def inverse(w) -> Word:
@@ -66,6 +60,7 @@ def inverse(w) -> Word:
 
 
 def concat(*ws) -> Word:
+    """Free reduction of the concatenated words (stack cancellation)."""
     out = []
     for w in ws:
         for l in w:
@@ -165,15 +160,7 @@ class Automorphism:
 def apply(phi: Automorphism, w) -> Word:
     """Image of ``w`` under ``phi``, freely reduced."""
     images = phi.images
-    out = []
-    for l in w:
-        piece = images[l - 1] if l > 0 else inverse(images[-l - 1])
-        for x in piece:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return concat(*(images[l - 1] if l > 0 else inverse(images[-l - 1]) for l in w))
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

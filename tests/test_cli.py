@@ -88,6 +88,15 @@ def test_fibers(capsys):
     assert payload["histogram"] == {"1": 6}
 
 
+def test_fibers_cap_exit(capsys):
+    code, payload = run_json(capsys, "--max-ball", "50", "fibers",
+                             "--seed", "1:aa,b", "--L", "30")
+    assert code == 4
+    assert payload == {"L": 30.0, "ball_size": payload["ball_size"],
+                       "frontier_exhausted": False}
+    assert payload["ball_size"] > 0
+
+
 def test_low_index(capsys):
     code, payload = run_json(capsys, "low-index", "--rank", "2", "--k", "2")
     assert code == 0
@@ -139,6 +148,12 @@ def test_surface_file(tmp_path, capsys):
     assert payload["trace"] == 3
 
     config["matrices"]["a"] = [[2, 0], [0, 1]]
+    path.write_text(json.dumps(config))
+    code, _ = run_cli(capsys, "--surface", str(path), "length", "--word", "a")
+    assert code == 3
+
+    config["matrices"]["a"] = [[1, 1], [1, 2]]
+    config["peripherals"] = ["abcABC"]
     path.write_text(json.dumps(config))
     code, _ = run_cli(capsys, "--surface", str(path), "length", "--word", "a")
     assert code == 3

@@ -175,9 +175,10 @@ def test_orbit_ball_env_cap(torus, monkeypatch):
     monkeypatch.setenv(mcg.BALL_CAP_ENV, "4")
     with pytest.raises(ResourceLimitError):
         mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus)
-    monkeypatch.setenv(mcg.BALL_CAP_ENV, "banana")
-    with pytest.raises(InputError):
-        mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus)
+    for bad in ("banana", "0"):
+        monkeypatch.setenv(mcg.BALL_CAP_ENV, bad)
+        with pytest.raises(InputError):
+            mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus)
 
 
 def test_orbit_ball_input_guards(torus):
@@ -188,6 +189,22 @@ def test_orbit_ball_input_guards(torus):
         mcg.orbit_ball(seed, (1, 0), -1.0, surface=torus)
     with pytest.raises(InputError):
         mcg.orbit_ball(seed, (1, 0), 2.0, margin=0.5, surface=torus)
+    # no length term and a nonzero boundary image: the orbit is infinite
+    with pytest.raises(InputError):
+        mcg.orbit_ball(seed_of(torus, "aa", "b"), (0, 1), 10.0, surface=torus)
+    # a finite-index seed has zero boundary image and a finite orbit
+    index2 = mcg.orbit_ball(seed_of(torus, "aa", "b", "abA"), (0, 1), 13.0, surface=torus)
+    assert index2.frontier_exhausted and index2.count_leq(13.0) == 3
+
+
+def test_orbit_ball_values_are_the_public_shadows(torus):
+    seed = currents.parse_current("1:aa,b;1/2:a", torus)
+    spec = currents.parse_functional("la")
+    ball = mcg.orbit_ball(seed, spec, 12.0, surface=torus)
+    value, b_key = ball.elements[tuple((h.key, w) for h, w in seed.terms)]
+    assert value == currents.evaluate_functional(spec, seed, torus)
+    projection = currents.boundary_projection(seed, torus)
+    assert b_key == tuple((c.letters, w) for c, w in projection.items)
 
 
 def test_orbit_ball_modes(torus):
