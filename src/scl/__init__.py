@@ -28,7 +28,7 @@ from .graphs import (
     subgroup_class,
     subgroups_of_index,
 )
-from .mcg import MappingClass, OrbitBall, act_on_multicurve, act_on_subgroup, orbit_ball, twist_generators
+from .mcg import OrbitBall, act_on_multicurve, act_on_subgroup, orbit_ball, twist_generators
 from .census import (
     CensusTable,
     christoffel_word,

@@ -36,9 +36,17 @@ class FitResult:
     window: tuple
 
 
+def _table(kind, surface, rows, **meta) -> CensusTable:
+    """Census table whose meta names its kind, its surface and the growth
+    exponent 6g - 6 + 2r of the surface."""
+    return CensusTable(rows=tuple(rows), meta={
+        "kind": kind, "surface": surface.name,
+        "exponent": 6 * surface.genus - 6 + 2 * surface.cusps, **meta})
+
+
 def make_grid(limit: float, points: int):
-    if points < 1 or limit <= 0:
-        raise InputError("grid needs a positive limit and at least one point")
+    if points < 1 or not 0 < limit < math.inf:
+        raise InputError("grid needs a finite positive limit and at least one point")
     return [limit * (i + 1) / points for i in range(points)]
 
 
@@ -49,15 +57,9 @@ def count_by_length(ball: OrbitBall, grid) -> CensusTable:
         raise InputError(
             f"grid reaches {grid[-1]} beyond the ball cutoff {ball.cutoff}")
     values = ball.member_values()
-    rows = tuple((L, bisect_right(values, L)) for L in grid)
-    return CensusTable(rows=rows, meta={
-        "kind": "orbit",
-        "functional": ball.functional,
-        "margin": ball.margin,
-        "surface": ball.surface.name,
-        "exponent": 6 * ball.surface.genus - 6 + 2 * ball.surface.cusps,
-        "frontier_exhausted": ball.frontier_exhausted,
-    })
+    rows = [(L, bisect_right(values, L)) for L in grid]
+    return _table("orbit", ball.surface, rows, functional=ball.functional,
+                  margin=ball.margin, frontier_exhausted=ball.frontier_exhausted)
 
 
 def fit_exponent(table: CensusTable, window) -> FitResult:
@@ -136,6 +138,8 @@ def scc_classes(surface, limit: float):
     limit, so trace monotonicity is verified locally rather than assumed.
     Returns [(slope, class, length)] sorted by length then slope.
     """
+    if not 0 < limit < math.inf:
+        raise InputError(f"limit must be finite and positive, got {limit}")
     out = []
 
     def measure(p, q):
@@ -177,12 +181,7 @@ def scc_census(surface, limit: float, grid=None) -> CensusTable:
     """Counts of simple closed geodesics up to each grid length."""
     grid = _census_grid(limit, grid)
     lengths = sorted(ell for _, _, ell in scc_classes(surface, limit))
-    rows = tuple((L, bisect_right(lengths, L)) for L in grid)
-    return CensusTable(rows=rows, meta={
-        "kind": "scc",
-        "surface": surface.name,
-        "exponent": 6 * surface.genus - 6 + 2 * surface.cusps,
-    })
+    return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid])
 
 
 def mlz_census(surface, limit: float, grid=None):
@@ -201,9 +200,4 @@ def mlz_census(surface, limit: float, grid=None):
         n = sum(int(L / ell) for ell in lengths if ell <= L)
         rows.append((L, n))
         ratios.append(n / (L * L))
-    table = CensusTable(rows=tuple(rows), meta={
-        "kind": "mlz",
-        "surface": surface.name,
-        "exponent": 6 * surface.genus - 6 + 2 * surface.cusps,
-    })
-    return table, ratios
+    return _table("mlz", surface, rows), ratios

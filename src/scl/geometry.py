@@ -181,35 +181,57 @@ def geodesic_length(c: words.ConjClass, s: SurfaceStructure) -> float:
 
 
 def _parse_matrix_entry(x):
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, float):
         return int(x) if x.is_integer() else x
     raise InputError(f"matrix entry {x!r} is not a number")
 
 
-def surface_from_dict(data: dict) -> SurfaceStructure:
-    """Load the documented surface-config JSON object."""
-    try:
-        name = data.get("name", "user-surface")
-        genus = int(data["genus"])
-        cusps = int(data["cusps"])
-        sigma = ribbon.order_from_strings(data["ribbon_order"])
-        peripherals = tuple(words.word_from_str(p) for p in data["peripherals"])
-        n = 2 * genus + cusps - 1
-        mats = []
-        for i in range(n):
-            letter = chr(ord("a") + i)
-            if letter not in data["matrices"]:
-                raise InputError(f"matrices: missing generator {letter!r}")
-            m = data["matrices"][letter]
-            mats.append(tuple(tuple(_parse_matrix_entry(x) for x in row) for row in m))
-        mcg_images = []
-        for entry in data.get("mcg_generators", []):
-            imgs = tuple(words.word_from_str(w) for w in entry["images"])
-            mcg_images.append((imgs, entry.get("label", "")))
-    except KeyError as exc:
-        raise InputError(f"surface config missing field {exc.args[0]!r}")
+def _field(data, key, kind, default=None):
+    """``data[key]`` (or ``default``), which must be a JSON ``kind``."""
+    value = data.get(key, default)
+    if value is None:
+        raise InputError(f"surface config missing field {key!r}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InputError(f"surface config field {key!r} must be a {kind.__name__}: {value!r}")
+    return value
+
+
+def _strings(data, key, default=None):
+    items = _field(data, key, list, default)
+    if not all(isinstance(x, str) for x in items):
+        raise InputError(f"surface config field {key!r} must list strings, got {items!r}")
+    return items
+
+
+def surface_from_dict(data) -> SurfaceStructure:
+    """Load the documented surface-config JSON object; any other shape is
+    an InputError."""
+    if not isinstance(data, dict):
+        raise InputError("surface config must be a JSON object")
+    name = _field(data, "name", str, "user-surface")
+    genus = _field(data, "genus", int)
+    cusps = _field(data, "cusps", int)
+    sigma = ribbon.order_from_strings(_strings(data, "ribbon_order"))
+    peripherals = tuple(map(words.word_from_str, _strings(data, "peripherals")))
+    matrices = _field(data, "matrices", dict)
+    mats = []
+    for i in range(2 * genus + cusps - 1):
+        letter = chr(ord("a") + i)
+        if letter not in matrices:
+            raise InputError(f"matrices: missing generator {letter!r}")
+        m = matrices[letter]
+        if not (isinstance(m, list) and len(m) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in m)):
+            raise InputError(f"matrices: {letter!r} must be a 2x2 array, got {m!r}")
+        mats.append(tuple(tuple(_parse_matrix_entry(x) for x in row) for row in m))
+    mcg_images = []
+    for entry in _field(data, "mcg_generators", list, []):
+        if not isinstance(entry, dict):
+            raise InputError(f"mcg_generators entry {entry!r} is not an object")
+        images = tuple(map(words.word_from_str, _strings(entry, "images")))
+        mcg_images.append((images, _field(entry, "label", str, "")))
     return SurfaceStructure(
         name=name, genus=genus, cusps=cusps, matrices=tuple(mats),
         peripheral_words=peripherals, ribbon_order=sigma,

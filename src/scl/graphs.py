@@ -69,41 +69,22 @@ def _find(parent, x):
     return x
 
 
-def fold(generators, rank=None) -> CoreGraph:
-    """Fold the wedge of generator loops into the basepointed graph of
-    ``H = <generators>``.
+def _fold(vertex_count, edges, rank, basepoint) -> CoreGraph:
+    """Stallings fold of a graph whose edges ``(u, v, word)`` read nonempty
+    words.
 
-    Identification of same-label edge pairs is processed through a
-    union-find merge queue, so the cost is near-linear in total
-    generator length.
+    Each edge is subdivided into a path spelling its word.  Identification
+    of same-label edge pairs is processed through a union-find merge
+    queue, so the cost is near-linear in the total word length.
     """
-    ws = []
-    for g in generators:
-        w = words.reduce(g)
-        if w:
-            ws.append(w)
-    if not ws:
-        raise TrivialSubgroupError("all generators reduce to the identity")
-    if rank is None:
-        rank = max(max(abs(l) for l in w) for w in ws)
-    else:
-        for w in ws:
-            words.check_rank(w, rank)
-
-    # wedge of loops at vertex 0
     edge_list = []
-    nv = 1
-    for w in ws:
-        prev = 0
+    nv = vertex_count
+    for u, v, w in edges:
+        path = (u, *range(nv, nv + len(w) - 1), v)
+        nv += len(w) - 1
         for j, l in enumerate(w):
-            nxt = 0 if j == len(w) - 1 else nv
-            if nxt:
-                nv += 1
-            if l > 0:
-                edge_list.append((prev, nxt, l - 1))
-            else:
-                edge_list.append((nxt, prev, -l - 1))
-            prev = nxt
+            edge_list.append((path[j], path[j + 1], l - 1) if l > 0
+                             else (path[j + 1], path[j], -l - 1))
 
     parent = list(range(nv))
     out_m = [dict() for _ in range(nv)]
@@ -112,20 +93,17 @@ def fold(generators, rank=None) -> CoreGraph:
 
     for u, v, lab in edge_list:
         u, v = _find(parent, u), _find(parent, v)
-        t = out_m[u].get(lab)
-        if t is not None:
+        if (t := out_m[u].get(lab)) is not None:
             t = _find(parent, t)
             if t != v:
                 merges.append((t, v))
+        elif (s := in_m[v].get(lab)) is not None:
+            s = _find(parent, s)
+            if s != u:
+                merges.append((s, u))
         else:
-            s = in_m[v].get(lab)
-            if s is not None:
-                s = _find(parent, s)
-                if s != u:
-                    merges.append((s, u))
-            else:
-                out_m[u][lab] = v
-                in_m[v][lab] = u
+            out_m[u][lab] = v
+            in_m[v][lab] = u
         while merges:
             a, b = merges.pop()
             a, b = _find(parent, a), _find(parent, b)
@@ -134,33 +112,54 @@ def fold(generators, rank=None) -> CoreGraph:
             if len(out_m[a]) + len(in_m[a]) < len(out_m[b]) + len(in_m[b]):
                 a, b = b, a
             parent[b] = a
-            bo, bi = out_m[b], in_m[b]
-            out_m[b] = in_m[b] = None
-            for lab2, t2 in bo.items():
-                cur = out_m[a].get(lab2)
-                if cur is None:
-                    out_m[a][lab2] = t2
-                else:
-                    cur, t2 = _find(parent, cur), _find(parent, t2)
-                    if cur != t2:
-                        merges.append((cur, t2))
-            for lab2, s2 in bi.items():
-                cur = in_m[a].get(lab2)
-                if cur is None:
-                    in_m[a][lab2] = s2
-                else:
-                    cur, s2 = _find(parent, cur), _find(parent, s2)
-                    if cur != s2:
-                        merges.append((cur, s2))
+            for side in (out_m, in_m):
+                kept, gone = side[a], side[b]
+                side[b] = None
+                for lab2, t2 in gone.items():
+                    cur = kept.get(lab2)
+                    if cur is None:
+                        kept[lab2] = t2
+                    else:
+                        cur, t2 = _find(parent, cur), _find(parent, t2)
+                        if cur != t2:
+                            merges.append((cur, t2))
 
     roots = [v for v in range(nv) if _find(parent, v) == v]
     number = {r: i for i, r in enumerate(roots)}
-    edges = []
+    out = []
     for r in roots:
         for lab, t in out_m[r].items():
-            edges.append((number[r], number[_find(parent, t)], lab))
-    edges.sort()
-    return CoreGraph(len(roots), edges, rank, basepoint=number[_find(parent, 0)])
+            out.append((number[r], number[_find(parent, t)], lab))
+    out.sort()
+    if basepoint is not None:
+        basepoint = number[_find(parent, basepoint)]
+    return CoreGraph(len(roots), out, rank, basepoint=basepoint)
+
+
+def fold(generators, rank=None) -> CoreGraph:
+    """Fold the wedge of generator loops into the basepointed graph of
+    ``H = <generators>``."""
+    ws = [w for w in map(words.reduce, generators) if w]
+    if not ws:
+        raise TrivialSubgroupError("all generators reduce to the identity")
+    if rank is None:
+        rank = max(max(abs(l) for l in w) for w in ws)
+    else:
+        for w in ws:
+            words.check_rank(w, rank)
+    return _fold(1, [(0, 0, w) for w in ws], rank, basepoint=0)
+
+
+def pushforward(g: CoreGraph, images) -> CoreGraph:
+    """Folded image of ``g`` under the endomorphism sending generator
+    ``lab`` to the word ``images[lab]``: every label-``lab`` edge becomes a
+    path spelling its image (Stallings 1983), and the basepoint follows."""
+    if len(images) != g.rank or not all(images):
+        raise InputError(f"need {g.rank} nontrivial generator images, got {images!r}")
+    for w in images:
+        words.check_rank(w, g.rank)
+    return _fold(g.vertex_count, [(u, v, images[lab]) for u, v, lab in g.edges],
+                 g.rank, basepoint=g.basepoint)
 
 
 def core(g: CoreGraph) -> CoreGraph:

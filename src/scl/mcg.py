@@ -1,5 +1,6 @@
-"""Mapping classes as peripheral-preserving automorphisms, their action on
-subgroup classes and multicurves, and orbit-ball enumeration.
+"""Mapping classes, each a peripheral-preserving ``words.Automorphism``,
+their action on subgroup classes and multicurves, and orbit-ball
+enumeration.
 
 Orbit balls are grown breadth-first under an inverse-closed twist
 generating set, exploring every element whose functional value stays
@@ -11,6 +12,7 @@ callers re-check stability under a larger margin where it matters.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -25,19 +27,7 @@ DEFAULT_BALL_CAP = 1_000_000
 BALL_CAP_ENV = "SCL_MAX_BALL"
 
 
-@dataclass(frozen=True)
-class MappingClass:
-    """Outer automorphism representing a mapping class.
-
-    ``generator_word`` records provenance in the chosen twist generating
-    set; it plays no algebraic role.
-    """
-
-    auto: words.Automorphism
-    generator_word: str = ""
-
-
-def mapping_class(images, surface, label="") -> MappingClass:
+def mapping_class(images, surface, label="") -> words.Automorphism:
     """Validate generator images as a peripheral-preserving automorphism.
 
     Folding the images must give back the full bouquet (surjectivity; for
@@ -56,18 +46,7 @@ def mapping_class(images, surface, label="") -> MappingClass:
         peripheral, power = words.is_peripheral(img, surface)
         if not peripheral or power != 1:
             raise InputError("automorphism does not preserve the cusp set")
-    return MappingClass(auto=phi, generator_word=label)
-
-
-def compose(phi: MappingClass, psi: MappingClass) -> MappingClass:
-    return MappingClass(
-        auto=words.compose(phi.auto, psi.auto),
-        generator_word=phi.generator_word + psi.generator_word,
-    )
-
-
-def identity(surface) -> MappingClass:
-    return MappingClass(auto=words.identity_automorphism(surface.rank))
+    return phi
 
 
 def twist_generators(surface):
@@ -92,23 +71,21 @@ def twist_generators(surface):
         f"surface {surface.name!r} has no configured mapping class generators")
 
 
-def act_on_subgroup(phi: MappingClass, h: SubgroupClass, surface) -> SubgroupClass:
-    """Push a subgroup class through a mapping class: map a free basis of
-    the core graph and refold."""
-    gens = graphs.spanning_generators(h.graph)
-    return graphs.subgroup_class(
-        [words.apply(phi.auto, w) for w in gens], surface=surface, rank=surface.rank)
+def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> SubgroupClass:
+    """Push a subgroup class through a mapping class: fold the core graph
+    with every edge replaced by the image of its label."""
+    return graphs.subgroup_class(graphs.pushforward(h.graph, phi.images), surface=surface)
 
 
-def act_on_multicurve(phi: MappingClass, mc: Multicurve) -> Multicurve:
+def act_on_multicurve(phi: words.Automorphism, mc: Multicurve) -> Multicurve:
     acc = {}
     for c, w in mc.items:
-        img = words.conj_class(words.apply(phi.auto, c.letters))
+        img = words.conj_class(words.apply(phi, c.letters))
         acc[img] = acc.get(img, 0) + w
     return Multicurve.from_dict(acc)
 
 
-def act_on_current(phi: MappingClass, eta: RationalSubsetCurrent,
+def act_on_current(phi: words.Automorphism, eta: RationalSubsetCurrent,
                    surface) -> RationalSubsetCurrent:
     return RationalSubsetCurrent.from_terms(
         (act_on_subgroup(phi, h, surface), w) for h, w in eta.terms)
@@ -133,23 +110,20 @@ class OrbitBall:
     elements: dict
     frontier_exhausted: bool
 
-    def member_values(self, limit=None):
-        limit = self.cutoff if limit is None else limit
-        if limit > self.cutoff:
-            raise InputError(f"query {limit} beyond ball cutoff {self.cutoff}")
-        return sorted(v for v, _ in self.elements.values() if v <= limit)
-
     def members(self, limit=None):
         """Deterministically ordered (key, value, b_key) rows inside the ball."""
         limit = self.cutoff if limit is None else limit
-        if limit > self.cutoff:
+        if not limit <= self.cutoff:
             raise InputError(f"query {limit} beyond ball cutoff {self.cutoff}")
         rows = [(k, v, b) for k, (v, b) in self.elements.items() if v <= limit]
         rows.sort(key=lambda r: r[0])
         return rows
 
+    def member_values(self, limit=None):
+        return sorted(v for _, v, _ in self.members(limit))
+
     def count_leq(self, limit) -> int:
-        return len(self.member_values(limit))
+        return len(self.members(limit))
 
 
 def _ball_cap(cap):
@@ -183,10 +157,10 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
     the whole infinite orbit; that input is rejected up front.
     """
     currents.check_functional(functional)
-    if L <= 0:
-        raise InputError(f"cutoff L must be positive, got {L}")
-    if margin < 1:
-        raise InputError(f"margin must be at least 1, got {margin}")
+    if not 0 < L < math.inf:
+        raise InputError(f"cutoff L must be finite and positive, got {L}")
+    if not 1 <= margin < math.inf:
+        raise InputError(f"margin must be finite and at least 1, got {margin}")
     if mode not in ("eta", "J"):
         raise InputError(f"mode must be 'eta' or 'J', got {mode!r}")
     cap = _ball_cap(cap)

@@ -146,8 +146,9 @@ def primitive_root(c: ConjClass):
 
 @dataclass(frozen=True, slots=True)
 class Automorphism:
-    """Endomorphism given by generator images; bijectivity is checked where
-    folding is available (see :mod:`scl.mcg`)."""
+    """Endomorphism given by generator images; ``label`` records provenance
+    and plays no algebraic role.  :func:`scl.mcg.mapping_class` checks that
+    it is a peripheral-preserving automorphism, i.e. a mapping class."""
 
     images: tuple  # one Word per generator
     label: str = ""

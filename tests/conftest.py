@@ -82,9 +82,9 @@ def random_multicurve(rng, surface, max_classes=4, max_len=10):
 
 def random_mapping_class(rng, surface, max_twists=6):
     gens = mcg.twist_generators(surface)
-    phi = mcg.identity(surface)
+    phi = words.identity_automorphism(surface.rank)
     for _ in range(rng.randint(1, max_twists)):
-        phi = mcg.compose(rng.choice(gens), phi)
+        phi = words.compose(rng.choice(gens), phi)
     return phi
 
 

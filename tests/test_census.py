@@ -147,7 +147,13 @@ def test_mlz_counts_dominate_scc(torus):
         assert b >= a
 
 
-def test_make_grid():
+def test_make_grid(torus):
     assert census.make_grid(30.0, 3) == [10.0, 20.0, 30.0]
     with pytest.raises(InputError):
         census.make_grid(0.0, 3)
+    # a non-finite limit gives NaN rows or a Stern-Brocot walk that never ends
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            census.make_grid(bad, 3)
+        with pytest.raises(InputError):
+            census.scc_classes(torus, bad)

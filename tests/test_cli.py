@@ -82,6 +82,20 @@ def test_orbit_count_cap_exit(capsys):
     assert all(line.endswith("False") for line in lines[1:])
 
 
+def test_non_finite_limits_exit_2(capsys):
+    cases = [
+        ("orbit-count", "--seed", "1:aa,b", "--L", "40", "--margin", "nan"),
+        ("orbit-count", "--seed", "1:aa,b", "--L", "nan"),
+        ("fibers", "--seed", "1:aa,b", "--L", "nan"),
+        ("scc-count", "--L", "nan"),
+        ("mlz-count", "--L", "nan"),
+        ("scc-count", "--L", "inf"),
+    ]
+    for argv in cases:
+        code, out = run_cli(capsys, "--no-meta", *argv)
+        assert (argv, code, out) == (argv, 2, "")
+
+
 def test_fibers(capsys):
     code, payload = run_json(capsys, "fibers", "--seed", "1:a", "--L", "4")
     assert code == 0
@@ -161,3 +175,30 @@ def test_surface_file(tmp_path, capsys):
     code, _ = run_cli(capsys, "--surface", str(tmp_path / "nope.json"),
                       "length", "--word", "a")
     assert code == 2
+
+    # every malformed shape is an input error, never a traceback or a misreading
+    config["peripherals"] = ["abAB"]
+    twists = [{"images": ["a", "ab"]}, {"images": ["a", "Ab"]},
+              {"images": ["ab", "b"]}, {"images": ["aB", "b"]}]
+    path.write_text(json.dumps({**config, "mcg_generators": twists}))
+    code, out = run_cli(capsys, "--no-meta", "--surface", str(path), "orbit-count",
+                        "--seed", "1:a", "--L", "4", "--grid", "2")
+    assert (code, out.splitlines()[-1]) == (0, "4.0,6,True")
+    malformed = [
+        {**config, "genus": "x"},
+        {**config, "genus": True},
+        {**config, "matrices": {**config["matrices"], "a": [[1, 1]]}},
+        {**config, "matrices": {**config["matrices"], "a": [[1, 1, 0], [1, 2, 0]]}},
+        {**config, "matrices": "ab"},
+        [config],
+        {**config, "peripherals": "abAB"},
+        {**config, "ribbon_order": [1, 2, 3, 4]},
+        {**config, "mcg_generators": [5]},
+        {**config, "mcg_generators": [*twists[:3], {"images": "ab"}]},
+        {**config, "mcg_generators": [*twists[:3], {"images": ["a", "ab"], "label": 7}]},
+    ]
+    for bad in malformed:
+        path.write_text(json.dumps(bad))
+        code, out = run_cli(capsys, "--no-meta", "--surface", str(path), "orbit-count",
+                            "--seed", "1:a", "--L", "4", "--grid", "2")
+        assert (bad, code, out) == (bad, 2, "")

@@ -5,7 +5,12 @@ import pytest
 
 from scl import graphs, words
 from scl.errors import InputError, ResourceLimitError, TrivialSubgroupError
-from conftest import hall_count, random_reduced_word, random_subgroup_class
+from conftest import (
+    hall_count,
+    random_mapping_class,
+    random_reduced_word,
+    random_subgroup_class,
+)
 
 W = words.word_from_str
 
@@ -119,6 +124,40 @@ def test_folding_confluent(rng):
         rng.shuffle(shuffled)
         k1 = graphs.canonical_key(graphs.core(graphs.fold(shuffled, rank=2)))
         assert k0 == k1
+
+
+def test_pushforward_identity(rng):
+    identity = [(1,), (2,), (3,)]
+    for _ in range(200):
+        gens = [random_reduced_word(rng, 3, 12) for _ in range(rng.randint(1, 4))]
+        g = graphs.fold(gens, rank=3)
+        image = graphs.pushforward(g, identity)
+        assert (image.edges, image.basepoint) == (g.edges, g.basepoint)
+        assert graphs.canonical_key(graphs.core(image)) == graphs.canonical_key(graphs.core(g))
+    bouquet = graphs.bouquet(2)
+    image = graphs.pushforward(bouquet, [(1,), (2,)])
+    assert (image.vertex_count, image.edges, image.basepoint) == (1, bouquet.edges, 0)
+
+
+def test_pushforward_is_the_image_subgroup(rng, torus):
+    # equal basepointed subgroups: each contains the other's generators
+    for _ in range(200):
+        phi = random_mapping_class(rng, torus, 5)
+        gens = [random_reduced_word(rng, 2, 10) for _ in range(rng.randint(1, 3))]
+        try:
+            g = graphs.fold(gens, rank=2)
+        except TrivialSubgroupError:
+            continue
+        image = graphs.pushforward(g, phi.images)
+        reference = graphs.fold([words.apply(phi, w) for w in gens], rank=2)
+        assert all(graphs.contains(image, words.apply(phi, w)) for w in gens)
+        assert all(graphs.contains(reference, w) for w in graphs.spanning_generators(image))
+
+
+def test_pushforward_rejects_bad_images():
+    for images in ([(1,)], [(1,), (3,)], [(), (2,)]):
+        with pytest.raises(InputError):
+            graphs.pushforward(graphs.bouquet(2), images)
 
 
 def test_spanning_generators():

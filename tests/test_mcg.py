@@ -1,17 +1,29 @@
+import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from scl import currents, graphs, mcg, words
-from scl.errors import ConfigError, InputError, ResourceLimitError
-from conftest import random_mapping_class, random_multicurve, random_subgroup_class
+from scl import currents, geometry, graphs, mcg, words
+from scl.errors import (
+    ConfigError,
+    InputError,
+    PeripheralSubgroupError,
+    ResourceLimitError,
+)
+from conftest import (
+    random_mapping_class,
+    random_multicurve,
+    random_reduced_word,
+    random_subgroup_class,
+)
 
 W = words.word_from_str
 
 
 @pytest.fixture(scope="module")
 def twists(torus):
-    return {t.generator_word: t for t in mcg.twist_generators(torus)}
+    return {t.label: t for t in mcg.twist_generators(torus)}
 
 
 def seed_of(torus, *gens):
@@ -21,16 +33,16 @@ def seed_of(torus, *gens):
 
 def test_twist_generators_act_as_expected(twists):
     ta = twists["ta"]
-    assert words.word_to_str(words.apply(ta.auto, W("b"))) == "ab"
+    assert words.word_to_str(words.apply(ta, W("b"))) == "ab"
     tb = twists["tb"]
-    assert words.apply(tb.auto, W("abAB")) == W("abAB")
+    assert words.apply(tb, W("abAB")) == W("abAB")
 
 
 def test_twist_abelianizations(twists):
     def abelianized(phi):
         # column j = exponent vector of the image of generator j
         cols = []
-        for im in phi.auto.images:
+        for im in phi.images:
             cols.append((sum(1 if l == 1 else -1 for l in im if abs(l) == 1),
                          sum(1 if l == 2 else -1 for l in im if abs(l) == 2)))
         return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
@@ -44,10 +56,10 @@ def test_twist_abelianizations(twists):
 
 def test_twist_inverses_compose_to_identity(twists, rng):
     for name in ("ta", "tb"):
-        phi = mcg.compose(twists[name], twists[name + "'"])
+        phi = words.compose(twists[name], twists[name + "'"])
         for _ in range(20):
             w = words.reduce([rng.choice([1, -1, 2, -2]) for _ in range(10)])
-            assert words.apply(phi.auto, w) == w
+            assert words.apply(phi, w) == w
 
 
 def test_mapping_class_rejects_non_surjective(torus):
@@ -86,6 +98,42 @@ def test_act_on_paper_subgroup(torus, twists):
     assert graphs.index(acted.graph) == 4
 
 
+def _reference_action(phi, h, torus):
+    """The action read off a free basis: map each basis word and refold."""
+    gens = graphs.spanning_generators(h.graph)
+    return graphs.subgroup_class([words.apply(phi, w) for w in gens], surface=torus, rank=2)
+
+
+def _random_action_source(rng, torus, kind):
+    """A subgroup class of the given kind, built from a random generator list."""
+    while True:
+        if kind == "cyclic":
+            gens = [random_reduced_word(rng, 2, 10)]
+        elif kind == "finite-index":
+            covers = graphs.subgroups_of_index(2, rng.randint(2, 4))
+            return graphs.subgroup_class(covers[rng.randrange(len(covers))], surface=torus)
+        else:
+            u = random_reduced_word(rng, 2, 6)
+            gens = [words.concat(u, random_reduced_word(rng, 2, 8), words.inverse(u))
+                    for _ in range(rng.randint(1, 3))]
+        try:
+            return graphs.subgroup_class(gens, surface=torus, rank=2)
+        except PeripheralSubgroupError:
+            continue
+
+
+def test_act_on_subgroup_matches_basis_action(rng, torus):
+    kinds = ("cyclic", "finite-index", "conjugated", "random")
+    for i in range(520):
+        kind = kinds[i % len(kinds)]
+        if kind == "random":
+            h = random_subgroup_class(rng, torus, max_rank=3, max_len=8)
+        else:
+            h = _random_action_source(rng, torus, kind)
+        phi = random_mapping_class(rng, torus, 5)
+        assert mcg.act_on_subgroup(phi, h, torus).key == _reference_action(phi, h, torus).key
+
+
 def test_act_on_multicurve(torus, twists):
     ta = twists["ta"]
     mc = currents.Multicurve.from_dict({words.conj_class(W("a")): 1})
@@ -96,13 +144,13 @@ def test_act_on_multicurve(torus, twists):
 
 
 def test_action_laws(rng, torus):
-    ident = mcg.identity(torus)
+    ident = words.identity_automorphism(torus.rank)
     for _ in range(25):
         phi = random_mapping_class(rng, torus, 4)
         psi = random_mapping_class(rng, torus, 4)
         h = random_subgroup_class(rng, torus, max_rank=3, max_len=8)
         assert mcg.act_on_subgroup(ident, h, torus) == h
-        assert mcg.act_on_subgroup(mcg.compose(phi, psi), h, torus) == \
+        assert mcg.act_on_subgroup(words.compose(phi, psi), h, torus) == \
             mcg.act_on_subgroup(phi, mcg.act_on_subgroup(psi, h, torus), torus)
 
 
@@ -189,6 +237,10 @@ def test_orbit_ball_input_guards(torus):
         mcg.orbit_ball(seed, (1, 0), -1.0, surface=torus)
     with pytest.raises(InputError):
         mcg.orbit_ball(seed, (1, 0), 2.0, margin=0.5, surface=torus)
+    # non-finite cutoffs and margins would count nothing or never finish
+    for L, margin in ((math.nan, 1.5), (2.0, math.nan), (math.inf, 1.5), (2.0, math.inf)):
+        with pytest.raises(InputError):
+            mcg.orbit_ball(seed, (1, 0), L, margin=margin, surface=torus)
     # no length term and a nonzero boundary image: the orbit is infinite
     with pytest.raises(InputError):
         mcg.orbit_ball(seed_of(torus, "aa", "b"), (0, 1), 10.0, surface=torus)
@@ -214,3 +266,31 @@ def test_orbit_ball_modes(torus):
     ball_eta = mcg.orbit_ball(seed, (1, 0), 4.5, surface=torus, mode="eta")
     ball_j = mcg.orbit_ball(seed.terms, (1, 0), 4.5, surface=torus, mode="J")
     assert ball_j.count_leq(4.5) >= ball_eta.count_leq(4.5)
+
+
+def test_orbit_ball_matches_fold_free_curve_oracle(torus):
+    # B(<aa,b>) = 1/2 [aabAAB] and every fiber has two elements, so the lsc
+    # ball at L is twice the twist orbit of the curve [aabAAB] with
+    # length <= 2L; the orbit is walked with words.apply alone, no folding.
+    L, margin = 30.0, 1.5
+    ball = mcg.orbit_ball(seed_of(torus, "aa", "b"), (1, 0), L, margin, surface=torus)
+    assert ball.frontier_exhausted
+
+    twists = mcg.twist_generators(torus)
+    start = words.conj_class(W("aabAAB"))
+    lengths = {start: geometry.geodesic_length(start, torus)}
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        for phi in twists:
+            img = words.conj_class(words.apply(phi, c.letters))
+            if img not in lengths:
+                lengths[img] = geometry.geodesic_length(img, torus)
+                if lengths[img] <= margin * 2 * L:
+                    queue.append(img)
+    curves = {c.letters for c, ell in lengths.items() if ell <= 2 * L}
+
+    rows = ball.members()
+    assert len(curves) == 222
+    assert len(rows) == 2 * len(curves) == 444
+    assert {b for _, _, b in rows} == {((c, Fraction(1, 2)),) for c in curves}
