@@ -172,6 +172,8 @@ def _census_grid(limit: float, grid):
     if grid is None:
         grid = make_grid(limit, max(1, int(limit)))
     grid = sorted(grid)
+    if not grid:
+        raise InputError("grid needs at least one point")
     if grid[-1] > limit:
         raise InputError(f"grid reaches {grid[-1]} beyond limit {limit}")
     return grid

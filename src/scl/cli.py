@@ -134,12 +134,13 @@ def _cmd_length(cfg, args):
 def _cmd_orbit_count(cfg, args):
     eta = currents.parse_current(args.seed, cfg.surface)
     spec = currents.parse_functional(args.functional)
+    grid = census.make_grid(args.L, args.grid)
     try:
         ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
                               surface=cfg.surface, cap=cfg.max_ball, mode=args.mode)
     except ResourceLimitError as exc:
         ball = exc.partial
-    table = census.count_by_length(ball, census.make_grid(args.L, args.grid))
+    table = census.count_by_length(ball, grid)
     rows = [(L, n, ball.frontier_exhausted) for L, n in table.rows]
     _emit_csv(cfg, ("L", "count", "frontier_exhausted"), rows)
     return 0 if ball.frontier_exhausted else 4
@@ -177,6 +178,8 @@ def _cmd_fibers(cfg, args):
 
 
 def _cmd_low_index(cfg, args):
+    if not 1 <= args.rank <= len(string.ascii_lowercase):
+        raise InputError(f"--rank must be 1..26 (one letter per generator), got {args.rank}")
     covers = graphs.subgroups_of_index(args.rank, args.k, cap=cfg.max_index)
     _emit_json(cfg, {
         "rank": args.rank,

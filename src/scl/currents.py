@@ -50,9 +50,6 @@ class Multicurve:
     def zero(cls) -> "Multicurve":
         return cls(items=())
 
-    def as_dict(self) -> dict:
-        return dict(self.items)
-
     def is_zero(self) -> bool:
         return not self.items
 

@@ -10,7 +10,7 @@ conjugacy invariant.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import words
 from .errors import (
@@ -27,30 +27,17 @@ class CoreGraph:
     """Labeled directed graph over a rank-n alphabet.
 
     ``edges`` is a tuple of ``(src, dst, label)`` with labels in ``[0, n)``.
-    Immutable after construction; the neighbor tables are built lazily.
+    Plain immutable data: derived forms (neighbor tables, the canonical
+    key) are computed where they are needed, never cached on the graph.
     """
 
-    __slots__ = ("vertex_count", "edges", "rank", "basepoint", "_tables", "_key")
+    __slots__ = ("vertex_count", "edges", "rank", "basepoint")
 
     def __init__(self, vertex_count, edges, rank, basepoint=None):
         self.vertex_count = vertex_count
         self.edges = tuple(edges)
         self.rank = rank
         self.basepoint = basepoint
-        self._tables = None
-        self._key = None
-
-    @property
-    def tables(self):
-        """Neighbor maps ``v -> w``, two per label: ``tables[2 * lab]``
-        follows the edge forward, ``tables[2 * lab + 1]`` backward."""
-        if self._tables is None:
-            tables = [dict() for _ in range(2 * self.rank)]
-            for u, v, lab in self.edges:
-                tables[2 * lab][u] = v
-                tables[2 * lab + 1][v] = u
-            self._tables = tables
-        return self._tables
 
     @property
     def cycle_rank(self):
@@ -60,6 +47,16 @@ class CoreGraph:
     def __repr__(self):
         return (f"CoreGraph(V={self.vertex_count}, E={len(self.edges)}, "
                 f"rank={self.rank}, basepoint={self.basepoint})")
+
+
+def _tables(g: CoreGraph):
+    """Neighbor maps ``v -> w``, two per label: ``tables[2 * lab]``
+    follows the edge forward, ``tables[2 * lab + 1]`` backward."""
+    tables = [dict() for _ in range(2 * g.rank)]
+    for u, v, lab in g.edges:
+        tables[2 * lab][u] = v
+        tables[2 * lab + 1][v] = u
+    return tables
 
 
 def _find(parent, x):
@@ -206,7 +203,7 @@ def contains(g: CoreGraph, w) -> bool:
     """Membership: does ``w`` trace a closed path at the basepoint?"""
     w = words.reduce(w)
     words.check_rank(w, g.rank)
-    tables = g.tables
+    tables = _tables(g)
     base = g.basepoint if g.basepoint is not None else 0
     v = base
     for l in w:
@@ -262,16 +259,13 @@ def canonical_key(g: CoreGraph) -> bytes:
     direction), the discovery index of the neighbor, which reconstructs
     the graph up to relabeling.
     """
-    if g._key is not None:
-        return g._key
     profiles = _vertex_profiles(g)
     best_profile = max(profiles)
     starts = [v for v, p in enumerate(profiles) if p == best_profile]
     width = 2 * g.rank * g.vertex_count
-    enc = min(_encode_from(g.tables, s, width) for s in starts)
-    key = b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
-    g._key = key
-    return key
+    tables = _tables(g)
+    enc = min(_encode_from(tables, s, width) for s in starts)
+    return b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
 
 
 def _spanning_tree(g: CoreGraph):
@@ -282,7 +276,7 @@ def _spanning_tree(g: CoreGraph):
     ``(src, dst, label)`` triples, which name an edge of a folded graph.
     """
     base = g.basepoint if g.basepoint is not None else 0
-    tables = g.tables
+    tables = _tables(g)
     parent = {base: None}
     order = [base]
     tree = set()
@@ -327,14 +321,8 @@ class SubgroupClass:
     """Conjugacy class of a finitely generated subgroup, keyed by the
     canonical form of its basepoint-free core graph."""
 
-    graph: CoreGraph
+    graph: CoreGraph = field(compare=False)
     key: bytes
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, SubgroupClass) and self.key == other.key
 
     @property
     def rank(self):

@@ -53,11 +53,18 @@ def twist_generators(surface):
     """Inverse-closed twist generating set for the mapping class group.
 
     Built-in for the once-punctured torus; user surfaces must supply an
-    inverse-closed list in their config.
+    inverse-closed list in their config, or orbit balls would silently
+    miss every element reached only through a missing inverse.
     """
     if surface.mcg_images:
-        return [mapping_class(imgs, surface, label or f"t{i}")
+        gens = [mapping_class(imgs, surface, label or f"t{i}")
                 for i, (imgs, label) in enumerate(surface.mcg_images)]
+        identity = words.identity_automorphism(surface.rank).images
+        for t in gens:
+            if not any(words.compose(s, t).images == identity for s in gens):
+                raise ConfigError(f"mcg_generators must be inverse-closed: {t.label!r} "
+                                  "has no listed inverse")
+        return gens
     if (surface.genus, surface.cusps) == (1, 1) and surface.rank == 2:
         a, b = (1,), (2,)
         table = [

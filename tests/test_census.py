@@ -157,3 +157,7 @@ def test_make_grid(torus):
             census.make_grid(bad, 3)
         with pytest.raises(InputError):
             census.scc_classes(torus, bad)
+    # an empty grid has no last point to hold against the limit
+    for run in (census.scc_census, census.mlz_census):
+        with pytest.raises(InputError):
+            run(torus, 10.0, [])

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from scl import cli
+from scl import cli, mcg
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +85,16 @@ def test_orbit_count_cap_exit(capsys):
     assert all(line.endswith("False") for line in lines[1:])
 
 
+def test_orbit_count_checks_grid_before_the_ball(capsys, monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("orbit_ball called before the grid was checked")
+
+    monkeypatch.setattr(mcg, "orbit_ball", no_ball)
+    code, out = run_cli(capsys, "--no-meta", "orbit-count", "--seed", "1:aa,b",
+                        "--L", "40", "--grid", "0")
+    assert (code, out) == (2, "")
+
+
 def test_non_finite_limits_exit_2(capsys):
     cases = [
         ("orbit-count", "--seed", "1:aa,b", "--L", "40", "--margin", "nan"),
@@ -116,6 +129,9 @@ def test_low_index(capsys):
     assert code == 0
     assert payload["count"] == 3
     assert all(g["index"] == 2 for g in payload["subgroups"])
+    # generators are named by letter, so there is no 27th one to print
+    code, out = run_cli(capsys, "--no-meta", "low-index", "--rank", "27", "--k", "1")
+    assert (code, out) == (2, "")
 
 
 def test_verify_example(capsys):
@@ -184,6 +200,11 @@ def test_surface_file(tmp_path, capsys):
     code, out = run_cli(capsys, "--no-meta", "--surface", str(path), "orbit-count",
                         "--seed", "1:a", "--L", "4", "--grid", "2")
     assert (code, out.splitlines()[-1]) == (0, "4.0,6,True")
+    # without the inverses the ball misses elements: 12 instead of 18 at L = 8
+    path.write_text(json.dumps({**config, "mcg_generators": [twists[0], twists[2]]}))
+    code, out = run_cli(capsys, "--no-meta", "--surface", str(path), "orbit-count",
+                        "--seed", "1:a", "--L", "8", "--grid", "2")
+    assert (code, out) == (3, "")
     malformed = [
         {**config, "genus": "x"},
         {**config, "genus": True},
@@ -202,3 +223,12 @@ def test_surface_file(tmp_path, capsys):
         code, out = run_cli(capsys, "--no-meta", "--surface", str(path), "orbit-count",
                             "--seed", "1:a", "--L", "4", "--grid", "2")
         assert (bad, code, out) == (bad, 2, "")
+
+
+def test_cli_output_is_byte_stable(capsys):
+    """``--no-meta`` stdout and exit codes of the README examples and three
+    more commands, recorded in ``data/cli_golden.json``.  Regenerate that
+    file only in a change that means to alter output, and say so."""
+    for case in json.loads(GOLDEN.read_text()):
+        code, out = run_cli(capsys, *case["argv"])
+        assert (case["argv"], code, out) == (case["argv"], case["exit"], case["stdout"])
