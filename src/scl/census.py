@@ -50,12 +50,23 @@ def make_grid(limit: float, points: int):
     return [limit * (i + 1) / points for i in range(points)]
 
 
+def _checked_grid(grid, limit, name):
+    """Sorted grid with no NaN point and none beyond ``limit``.
+
+    A NaN compares false with everything, so it would slip past the limit
+    check and give a silently wrong count.
+    """
+    grid = sorted(grid)
+    if any(math.isnan(L) for L in grid):
+        raise InputError("grid has a NaN point")
+    if grid and grid[-1] > limit:
+        raise InputError(f"grid reaches {grid[-1]} beyond {name} {limit}")
+    return grid
+
+
 def count_by_length(ball: OrbitBall, grid) -> CensusTable:
     """Cumulative ball counts at each grid radius."""
-    grid = sorted(grid)
-    if grid and grid[-1] > ball.cutoff:
-        raise InputError(
-            f"grid reaches {grid[-1]} beyond the ball cutoff {ball.cutoff}")
+    grid = _checked_grid(grid, ball.cutoff, "the ball cutoff")
     values = ball.member_values()
     rows = [(L, bisect_right(values, L)) for L in grid]
     return _table("orbit", ball.surface, rows, functional=ball.functional,
@@ -171,11 +182,9 @@ def _census_grid(limit: float, grid):
     """Sorted grid, one point per unit of ``limit`` by default."""
     if grid is None:
         grid = make_grid(limit, max(1, int(limit)))
-    grid = sorted(grid)
+    grid = _checked_grid(grid, limit, "limit")
     if not grid:
         raise InputError("grid needs at least one point")
-    if grid[-1] > limit:
-        raise InputError(f"grid reaches {grid[-1]} beyond limit {limit}")
     return grid
 
 

@@ -232,22 +232,38 @@ def _vertex_profiles(g: CoreGraph):
     return [(len(p), tuple(sorted(p))) for p in prof]
 
 
-def _encode_from(tables, start, width):
-    order = {start: 0}
-    verts = [start]
-    enc = [-1] * width
-    pos = 0
-    for v in verts:
-        for table in tables:
-            w = table.get(v)
-            if w is not None:
+def _encode_min(tables, starts, width):
+    """Least BFS encoding over ``starts``, grown in lockstep.
+
+    Each step reads the next discovered vertex of every surviving start
+    and appends its 2 * rank entries; only the starts whose encoding so
+    far is the least survive the step.  All encodings have length
+    ``width``, so the survivors' common encoding is the lexicographic
+    minimum over all starts.
+    """
+    runs = [({s: 0}, [s]) for s in starts]
+    enc = []
+    for step in range(width // len(tables)):
+        best = None
+        for order, verts in runs:
+            v = verts[step]
+            chunk = []
+            for table in tables:
+                w = table.get(v)
+                if w is None:
+                    chunk.append(-1)
+                    continue
                 j = order.get(w)
                 if j is None:
-                    j = len(verts)
-                    order[w] = j
+                    j = order[w] = len(verts)
                     verts.append(w)
-                enc[pos] = j
-            pos += 1
+                chunk.append(j)
+            if best is None or chunk < best:
+                best, kept = chunk, [(order, verts)]
+            elif chunk == best:
+                kept.append((order, verts))
+        runs = kept
+        enc += best
     return enc
 
 
@@ -264,7 +280,7 @@ def canonical_key(g: CoreGraph) -> bytes:
     starts = [v for v, p in enumerate(profiles) if p == best_profile]
     width = 2 * g.rank * g.vertex_count
     tables = _tables(g)
-    enc = min(_encode_from(tables, s, width) for s in starts)
+    enc = _encode_min(tables, starts, width)
     return b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
 
 

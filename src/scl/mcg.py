@@ -49,6 +49,11 @@ def mapping_class(images, surface, label="") -> words.Automorphism:
     return phi
 
 
+def _undoes(s: words.Automorphism, t: words.Automorphism) -> bool:
+    """Whether ``s`` after ``t`` is the identity automorphism."""
+    return words.compose(s, t).images == words.identity_automorphism(t.rank).images
+
+
 def twist_generators(surface):
     """Inverse-closed twist generating set for the mapping class group.
 
@@ -59,9 +64,8 @@ def twist_generators(surface):
     if surface.mcg_images:
         gens = [mapping_class(imgs, surface, label or f"t{i}")
                 for i, (imgs, label) in enumerate(surface.mcg_images)]
-        identity = words.identity_automorphism(surface.rank).images
         for t in gens:
-            if not any(words.compose(s, t).images == identity for s in gens):
+            if not any(_undoes(s, t) for s in gens):
                 raise ConfigError(f"mcg_generators must be inverse-closed: {t.label!r} "
                                   "has no listed inverse")
         return gens
@@ -176,6 +180,9 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
 
     registry = {}   # class key -> the one SubgroupClass kept for it
     act_cache = {}  # (twist index, class key) -> image SubgroupClass
+    # twists[inverse[i]] undoes twists[i], so t(H) = K also gives t^-1(K) = H
+    inverse = [next((j for j, s in enumerate(twists) if _undoes(s, t)), None)
+               for t in twists]
 
     def canon(term_pairs):
         if mode == "J":
@@ -217,9 +224,12 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
             for cls_key, w in key:
                 img = act_cache.get((t_idx, cls_key))
                 if img is None:
-                    img = act_on_subgroup(phi, registry[cls_key], surface)
+                    h = registry[cls_key]
+                    img = act_on_subgroup(phi, h, surface)
                     img = registry.setdefault(img.key, img)
                     act_cache[(t_idx, cls_key)] = img
+                    if inverse[t_idx] is not None:
+                        act_cache.setdefault((inverse[t_idx], img.key), h)
                 new_pairs.append((img, w))
             new_key = canon(new_pairs)
             if new_key in elements:

@@ -108,8 +108,9 @@ def test_count_by_length_grid_guard(torus):
     h = graphs.subgroup_class([W("a")], surface=torus, rank=2)
     ball = mcg.orbit_ball(currents.RationalSubsetCurrent.of_subgroup(h),
                           (1, 0), 4.0, surface=torus)
-    with pytest.raises(InputError):
-        census.count_by_length(ball, [2.0, 8.0])
+    for bad in ([2.0, 8.0], [math.nan], [2.0, math.nan], [8.0, math.nan]):
+        with pytest.raises(InputError):
+            census.count_by_length(ball, bad)
     table = census.count_by_length(ball, [1.0, 2.0, 4.0])
     assert table.rows == ((1.0, 0), (2.0, 3), (4.0, 6))
     assert table.meta["exponent"] == 2
@@ -157,7 +158,9 @@ def test_make_grid(torus):
             census.make_grid(bad, 3)
         with pytest.raises(InputError):
             census.scc_classes(torus, bad)
-    # an empty grid has no last point to hold against the limit
+    # an empty grid has no last point to hold against the limit, and a NaN
+    # point sorts anywhere, so a point beyond the limit can hide behind it
     for run in (census.scc_census, census.mlz_census):
-        with pytest.raises(InputError):
-            run(torus, 10.0, [])
+        for bad in ([], [100.0, math.nan], [math.nan], [5.0, math.nan]):
+            with pytest.raises(InputError):
+                run(torus, 10.0, bad)

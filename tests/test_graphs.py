@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -114,6 +115,52 @@ def test_canonical_key_complete(rng, torus):
         checked += 1
         same_key = graphs.canonical_key(g1) == graphs.canonical_key(g2)
         assert same_key == _brute_force_isomorphic(g1, g2)
+
+
+def _exhaustive_key(g):
+    """The key as the least of the full BFS encodings from every start."""
+
+    def encode_from(tables, start, width):
+        order = {start: 0}
+        verts = [start]
+        enc = [-1] * width
+        pos = 0
+        for v in verts:
+            for table in tables:
+                w = table.get(v)
+                if w is not None:
+                    j = order.get(w)
+                    if j is None:
+                        j = len(verts)
+                        order[w] = j
+                        verts.append(w)
+                    enc[pos] = j
+                pos += 1
+        return enc
+
+    profiles = graphs._vertex_profiles(g)
+    starts = [v for v, p in enumerate(profiles) if p == max(profiles)]
+    width = 2 * g.rank * g.vertex_count
+    tables = graphs._tables(g)
+    enc = min(encode_from(tables, s, width) for s in starts)
+    return b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
+
+
+def test_canonical_key_is_the_exhaustive_minimum(rng):
+    cores = []
+    for n in range(1, 9):
+        for w in itertools.product((1, -1, 2, -2), repeat=n):
+            if all(w[i] != -w[i - 1] for i in range(n)):
+                cores.append(graphs.core(graphs.fold([w], rank=2)))
+    assert len(cores) == 9856
+    for k in range(1, 5):
+        cores += graphs.subgroups_of_index(2, k)
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        gens = [random_reduced_word(rng, rank, 12) for _ in range(rng.randint(2, 4))]
+        cores.append(graphs.core(graphs.fold(gens, rank=rank)))
+    for g in cores:
+        assert graphs.canonical_key(g) == _exhaustive_key(g)
 
 
 def test_folding_confluent(rng):

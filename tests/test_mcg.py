@@ -294,3 +294,16 @@ def test_orbit_ball_matches_fold_free_curve_oracle(torus):
     assert len(curves) == 222
     assert len(rows) == 2 * len(curves) == 444
     assert {b for _, _, b in rows} == {((c, Fraction(1, 2)),) for c in curves}
+
+
+def test_orbit_ball_reads_the_inverse_edge(torus, monkeypatch):
+    # t(H) = K gives t^-1(K) = H, so the twist back to an element's parent
+    # is never acted out: at most three actions per explored element
+    calls = []
+    act = mcg.act_on_subgroup
+    monkeypatch.setattr(mcg, "act_on_subgroup", lambda *a: calls.append(1) or act(*a))
+    L = 24.0
+    ball = mcg.orbit_ball(seed_of(torus, "a"), (1, 0), L, surface=torus)
+    explored = sum(v <= 1.5 * L for v, _ in ball.elements.values())
+    assert (len(ball.elements), explored, len(ball.members())) == (732, 366, 162)
+    assert len(calls) <= 3 * explored + 1
