@@ -204,8 +204,8 @@ def verify_example(surface):
     b_h = currents.subgroup_boundary(h, surface)
     b_phi = currents.subgroup_boundary(phi_h_listed, surface)
     checks = {
-        "index_h_is_4": graphs.index(h.graph) == 4,
-        "index_phi_h_is_4": graphs.index(phi_h_listed.graph) == 4,
+        "index_h_is_4": graphs.index(graphs.from_key(h.key)) == 4,
+        "index_phi_h_is_4": graphs.index(graphs.from_key(phi_h_listed.key)) == 4,
         "twist_image_matches_listed": phi_h_acted == phi_h_listed,
         "classes_differ": h != phi_h_listed,
         "boundary_image_h_zero": b_h.is_zero(),

@@ -107,7 +107,7 @@ class RationalSubsetCurrent:
 
 
 def boundary_report(h: SubgroupClass, surface) -> ribbon.BoundaryReport:
-    return ribbon.classify_boundary(h.graph, surface.ribbon_order, surface)
+    return ribbon.classify_boundary(graphs.from_key(h.key), surface.ribbon_order, surface)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,13 +129,14 @@ def shadow(h: SubgroupClass, surface) -> Shadow:
     inverse walks, so it projects to its own class with full weight, and
     a complete cover has all-cusp boundary and projects to zero.
     """
+    report = boundary_report(h, surface)
     acc = {}
-    for root, kind, power in boundary_report(h, surface).cycles:
+    for root, kind, power in report.cycles:
         if kind == "cusp":
             continue
         acc[root] = acc.get(root, 0) + Fraction(power, 2)
     bnd = Multicurve.from_dict(acc)
-    return Shadow(boundary=bnd, chi=h.euler_char, lsc=length_gc(bnd, surface))
+    return Shadow(boundary=bnd, chi=report.euler_char, lsc=length_gc(bnd, surface))
 
 
 def subgroup_boundary(h: SubgroupClass, surface) -> Multicurve:

@@ -10,7 +10,7 @@ conjugacy invariant.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import words
 from .errors import (
@@ -284,6 +284,17 @@ def canonical_key(g: CoreGraph) -> bytes:
     return b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
 
 
+def from_key(key: bytes) -> CoreGraph:
+    """The one reader of ``canonical_key``: vertices in discovery order, no
+    basepoint.  Label ``lab``'s edges are column ``2 * lab`` of the
+    2 * rank entries listed per vertex."""
+    rank, vertex_count, body = key.split(b";", 2)
+    rank, enc = int(rank), array("i", body)
+    edges = [(u, v, lab) for lab in range(rank)
+             for u, v in enumerate(enc[2 * lab::2 * rank]) if v >= 0]
+    return CoreGraph(int(vertex_count), edges, rank)
+
+
 def _spanning_tree(g: CoreGraph):
     """BFS spanning tree from the basepoint (vertex 0 if there is none).
 
@@ -334,19 +345,18 @@ def spanning_generators(g: CoreGraph):
 
 @dataclass(frozen=True, slots=True)
 class SubgroupClass:
-    """Conjugacy class of a finitely generated subgroup, keyed by the
-    canonical form of its basepoint-free core graph."""
+    """Conjugacy class of a finitely generated subgroup: the canonical key
+    of its basepoint-free core graph, which ``from_key`` decodes."""
 
-    graph: CoreGraph = field(compare=False)
     key: bytes
 
     @property
     def rank(self):
-        return self.graph.cycle_rank
+        return from_key(self.key).cycle_rank
 
     @property
     def euler_char(self):
-        return self.graph.vertex_count - len(self.graph.edges)
+        return 1 - self.rank
 
 
 def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
@@ -369,7 +379,7 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
             raise PeripheralSubgroupError(
                 "cyclic subgroup with peripheral root is outside the subgroup universe"
             )
-    return SubgroupClass(graph=g, key=canonical_key(g))
+    return SubgroupClass(canonical_key(g))
 
 
 def bouquet(rank: int) -> CoreGraph:
@@ -424,7 +434,7 @@ def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CA
     the free group on the basis; tree edges lift sheet-by-sheet.  Every
     returned graph is a connected k-sheeted cover: V' = kV, E' = kE.
     """
-    g = h.graph
+    g = from_key(h.key)
     _, tree = _spanning_tree(g)
     non_tree = [e for e in g.edges if e not in tree]
     m = len(non_tree)
@@ -446,5 +456,5 @@ def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CA
                     edges.append((u * k + s, v * k + perm[s], lab))
         edges.sort()
         cover = CoreGraph(g.vertex_count * k, edges, g.rank, basepoint=None)
-        covers.append(SubgroupClass(graph=cover, key=canonical_key(cover)))
+        covers.append(SubgroupClass(canonical_key(cover)))
     return covers

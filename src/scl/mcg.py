@@ -85,7 +85,8 @@ def twist_generators(surface):
 def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> SubgroupClass:
     """Push a subgroup class through a mapping class: fold the core graph
     with every edge replaced by the image of its label."""
-    return graphs.subgroup_class(graphs.pushforward(h.graph, phi.images), surface=surface)
+    image = graphs.pushforward(graphs.from_key(h.key), phi.images)
+    return graphs.subgroup_class(image, surface=surface)
 
 
 def act_on_multicurve(phi: words.Automorphism, mc: Multicurve) -> Multicurve:
@@ -183,6 +184,9 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
     # twists[inverse[i]] undoes twists[i], so t(H) = K also gives t^-1(K) = H
     inverse = [next((j for j, s in enumerate(twists) if _undoes(s, t)), None)
                for t in twists]
+    for t, inv in zip(twists, inverse):
+        if inv is None:
+            raise InputError(f"twist {t.label!r} has no inverse in the twist list")
 
     def canon(term_pairs):
         if mode == "J":
@@ -192,9 +196,10 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
             acc[h.key] = acc.get(h.key, 0) + w
         return tuple(sorted(acc.items()))
 
-    term_source = seed.terms if isinstance(seed, RationalSubsetCurrent) \
-        else tuple((h, Fraction(w)) for h, w in seed)
-    if not isinstance(seed, RationalSubsetCurrent):
+    if isinstance(seed, RationalSubsetCurrent):
+        term_source = seed.terms
+    else:
+        term_source = tuple((h, Fraction(w)) for h, w in seed)
         seed = RationalSubsetCurrent.from_terms(term_source)
     seed_pairs = [(registry.setdefault(h.key, h), Fraction(w)) for h, w in term_source]
     seed_key = canon(seed_pairs)
@@ -206,16 +211,12 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
             f"with alpha = 0 every element of this orbit has value {seed_record[0]} "
             "<= margin * L, so the ball would be the whole infinite orbit")
     elements = {seed_key: seed_record}
+    ball = OrbitBall(seed=seed, functional=functional, cutoff=L, margin=margin,
+                     surface=surface, mode=mode, elements=elements,
+                     frontier_exhausted=False)
     queue = deque()
     if seed_record[0] <= explore_bound:
         queue.append(seed_key)
-
-    def fail_partial():
-        ball = OrbitBall(seed=seed, functional=functional, cutoff=L, margin=margin,
-                         surface=surface, mode=mode, elements=elements,
-                         frontier_exhausted=False)
-        raise ResourceLimitError(
-            f"orbit ball exceeded cap of {cap} elements", partial=ball)
 
     while queue:
         key = queue.popleft()
@@ -228,8 +229,7 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
                     img = act_on_subgroup(phi, h, surface)
                     img = registry.setdefault(img.key, img)
                     act_cache[(t_idx, cls_key)] = img
-                    if inverse[t_idx] is not None:
-                        act_cache.setdefault((inverse[t_idx], img.key), h)
+                    act_cache.setdefault((inverse[t_idx], img.key), h)
                 new_pairs.append((img, w))
             new_key = canon(new_pairs)
             if new_key in elements:
@@ -237,10 +237,10 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
             record = currents.evaluate(functional, new_pairs, surface)
             elements[new_key] = record
             if len(elements) > cap:
-                fail_partial()
+                raise ResourceLimitError(
+                    f"orbit ball exceeded cap of {cap} elements", partial=ball)
             if record[0] <= explore_bound:
                 queue.append(new_key)
 
-    return OrbitBall(seed=seed, functional=functional, cutoff=L, margin=margin,
-                     surface=surface, mode=mode, elements=elements,
-                     frontier_exhausted=True)
+    ball.frontier_exhausted = True
+    return ball

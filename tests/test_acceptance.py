@@ -54,7 +54,7 @@ def test_criterion_02_ribbon_sanity(torus):
     for i in range(1000):
         h = random_subgroup_class(rng, torus, max_rank=4, max_len=12,
                                   cyclic_ok=(i % 5 == 0))
-        g = h.graph
+        g = graphs.from_key(h.key)
         cycles = ribbon.boundary_cycles(g, torus.ribbon_order)
         assert sum(len(c) for c in cycles) == 2 * len(g.edges)
         rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)

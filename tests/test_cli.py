@@ -41,6 +41,15 @@ def test_boundary(capsys):
     assert payload["cycles"] == [{"class": "aabAAB", "kind": "geodesic", "power": 1}]
 
 
+def test_boundary_is_independent_of_the_presentation(capsys):
+    # two conjugate presentations of one rank-3 class with two boundary cycles
+    code, out = run_cli(capsys, "--no-meta", "boundary", "--gens", "BBaABbA,AAAaBAa,baABAAA")
+    assert code == 0
+    code, conjugate = run_cli(capsys, "--no-meta", "boundary", "--gens", "BAAAb,BABAb,BaBBAAb")
+    assert code == 0
+    assert conjugate == out
+
+
 def test_area_and_length(capsys):
     code, payload = run_json(capsys, "area", "--current", "1:aa,b")
     assert code == 0

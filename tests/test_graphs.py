@@ -88,7 +88,7 @@ def _relabel(g, perm):
 def test_canonical_key_relabel_invariant(rng, torus):
     for _ in range(100):
         h = random_subgroup_class(rng, torus)
-        g = h.graph
+        g = graphs.from_key(h.key)
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
         assert graphs.canonical_key(_relabel(g, perm)) == h.key
@@ -105,7 +105,7 @@ def _brute_force_isomorphic(g1, g2):
 
 
 def test_canonical_key_complete(rng, torus):
-    pool = [random_subgroup_class(rng, torus, max_rank=2, max_len=5).graph
+    pool = [graphs.from_key(random_subgroup_class(rng, torus, max_rank=2, max_len=5).key)
             for _ in range(60)]
     pool = [g for g in pool if g.vertex_count <= 6]
     checked = 0
@@ -160,7 +160,11 @@ def test_canonical_key_is_the_exhaustive_minimum(rng):
         gens = [random_reduced_word(rng, rank, 12) for _ in range(rng.randint(2, 4))]
         cores.append(graphs.core(graphs.fold(gens, rank=rank)))
     for g in cores:
-        assert graphs.canonical_key(g) == _exhaustive_key(g)
+        key = graphs.canonical_key(g)
+        assert key == _exhaustive_key(g)
+        assert graphs.canonical_key(graphs.from_key(key)) == key
+        h = graphs.SubgroupClass(key)
+        assert (h.rank, h.euler_char) == (g.cycle_rank, g.vertex_count - len(g.edges))
 
 
 def test_folding_confluent(rng):
@@ -262,5 +266,5 @@ def test_finite_index_subgroups_cover_shape(rng, torus):
         h = random_subgroup_class(rng, torus, max_rank=3, max_len=8)
         k = rng.randint(1, 3)
         for cover in graphs.finite_index_subgroups(h, k):
-            assert cover.graph.vertex_count == k * h.graph.vertex_count
-            assert len(cover.graph.edges) == k * len(h.graph.edges)
+            assert graphs.from_key(cover.key).vertex_count == k * graphs.from_key(h.key).vertex_count
+            assert len(graphs.from_key(cover.key).edges) == k * len(graphs.from_key(h.key).edges)

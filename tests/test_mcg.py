@@ -95,12 +95,12 @@ def test_act_on_paper_subgroup(torus, twists):
     acted = mcg.act_on_subgroup(twists["ta"], h, torus)
     assert acted == listed
     assert acted != h
-    assert graphs.index(acted.graph) == 4
+    assert graphs.index(graphs.from_key(acted.key)) == 4
 
 
 def _reference_action(phi, h, torus):
     """The action read off a free basis: map each basis word and refold."""
-    gens = graphs.spanning_generators(h.graph)
+    gens = graphs.spanning_generators(graphs.from_key(h.key))
     return graphs.subgroup_class([words.apply(phi, w) for w in gens], surface=torus, rank=2)
 
 
@@ -244,6 +244,10 @@ def test_orbit_ball_input_guards(torus):
     # no length term and a nonzero boundary image: the orbit is infinite
     with pytest.raises(InputError):
         mcg.orbit_ball(seed_of(torus, "aa", "b"), (0, 1), 10.0, surface=torus)
+    # a twist list without inverses would miss every element reached through one
+    ta, _, tb, _ = mcg.twist_generators(torus)
+    with pytest.raises(InputError, match="'ta'"):
+        mcg.orbit_ball(seed, (1, 0), 8.0, surface=torus, twists=[ta, tb])
     # a finite-index seed has zero boundary image and a finite orbit
     index2 = mcg.orbit_ball(seed_of(torus, "aa", "b", "abA"), (0, 1), 13.0, surface=torus)
     assert index2.frontier_exhausted and index2.count_leq(13.0) == 3

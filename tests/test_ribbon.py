@@ -74,7 +74,7 @@ def test_classify_rank_two(torus):
 def test_dart_partition_and_genus(rng, torus):
     for _ in range(300):
         h = random_subgroup_class(rng, torus)
-        g = h.graph
+        g = graphs.from_key(h.key)
         cycles = ribbon.boundary_cycles(g, torus.ribbon_order)
         assert sum(len(c) for c in cycles) == 2 * len(g.edges)
         rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
@@ -84,7 +84,7 @@ def test_dart_partition_and_genus(rng, torus):
 def test_cyclic_gives_annulus(rng, torus):
     for _ in range(50):
         h = random_subgroup_class(rng, torus, max_rank=1)
-        cycles = ribbon.boundary_cycles(h.graph, torus.ribbon_order)
+        cycles = ribbon.boundary_cycles(graphs.from_key(h.key), torus.ribbon_order)
         assert len(cycles) == 2
         assert words.conj_class(cycles[0]) == words.conj_class(cycles[1])
 
@@ -108,8 +108,8 @@ def _boundary_weights(g, torus):
 def test_cover_boundary_projects_with_degree(rng, torus):
     for _ in range(15):
         h = random_subgroup_class(rng, torus, max_rank=3, max_len=8)
-        base = _boundary_weights(h.graph, torus)
+        base = _boundary_weights(graphs.from_key(h.key), torus)
         k = rng.randint(2, 3)
         for cover in graphs.finite_index_subgroups(h, k):
-            got = _boundary_weights(cover.graph, torus)
+            got = _boundary_weights(graphs.from_key(cover.key), torus)
             assert got == {root: k * m for root, m in base.items()}
