@@ -24,9 +24,6 @@ class CensusTable:
     rows: tuple
     meta: dict
 
-    def counts(self):
-        return [n for _, n in self.rows]
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -310,10 +310,7 @@ def run(argv) -> int:
     except ResourceLimitError as exc:
         print(f"scl: resource cap: {exc}", file=sys.stderr)
         return 4
-    except (InputError, OSError, json.JSONDecodeError) as exc:
-        print(f"scl: {exc}", file=sys.stderr)
-        return 2
-    except SclError as exc:
+    except (SclError, OSError, json.JSONDecodeError) as exc:
         print(f"scl: {exc}", file=sys.stderr)
         return 2
 

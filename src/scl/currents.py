@@ -110,51 +110,31 @@ def boundary_report(h: SubgroupClass, surface) -> ribbon.BoundaryReport:
     return ribbon.classify_boundary(graphs.from_key(h.key), surface.ribbon_order, surface)
 
 
-@dataclass(frozen=True, slots=True)
-class Shadow:
-    """The shadows of one subgroup class H that every census reads:
-    its boundary image B(eta_H), chi(H), and lsc, the length of B."""
-
-    boundary: Multicurve
-    chi: int
-    lsc: float
-
-
 @lru_cache(maxsize=None)
-def shadow(h: SubgroupClass, surface) -> Shadow:
-    """The shadow record of ``h``; the one cache keyed by subgroup class.
+def subgroup_boundary(h: SubgroupClass, surface) -> Multicurve:
+    """B(eta_H): half the boundary of the thickened core graph; the one
+    cache keyed by subgroup class.
 
     A boundary walk reading u^m puts weight m/2 on the primitive class u;
     cusp walks contribute nothing.  A cyclic subgroup has two mutually
     inverse walks, so it projects to its own class with full weight, and
     a complete cover has all-cusp boundary and projects to zero.
     """
-    report = boundary_report(h, surface)
     acc = {}
-    for root, kind, power in report.cycles:
+    for root, kind, power in boundary_report(h, surface).cycles:
         if kind == "cusp":
             continue
         acc[root] = acc.get(root, 0) + Fraction(power, 2)
-    bnd = Multicurve.from_dict(acc)
-    return Shadow(boundary=bnd, chi=report.euler_char, lsc=length_gc(bnd, surface))
-
-
-def subgroup_boundary(h: SubgroupClass, surface) -> Multicurve:
-    """B(eta_H): half the boundary of the thickened core graph."""
-    return shadow(h, surface).boundary
-
-
-def _project(terms, surface) -> Multicurve:
-    acc = {}
-    for h, w in terms:
-        for c, bw in shadow(h, surface).boundary.items:
-            acc[c] = acc.get(c, 0) + w * bw
     return Multicurve.from_dict(acc)
 
 
 def boundary_projection(eta: RationalSubsetCurrent, surface) -> Multicurve:
     """Q-linear extension of the subgroup boundary map."""
-    return _project(eta.terms, surface)
+    acc = {}
+    for h, w in eta.terms:
+        for c, bw in subgroup_boundary(h, surface).items:
+            acc[c] = acc.get(c, 0) + w * bw
+    return Multicurve.from_dict(acc)
 
 
 def length_gc(mc: Multicurve, surface) -> float:
@@ -193,21 +173,14 @@ def evaluate(spec, terms, surface):
     """Value of alpha * length_sc + beta * area on the (class, weight)
     ``terms``, and the canonical item key of their boundary image.
 
-    The value is summed class by class in term order, as
-    alpha*w*lsc_H + beta*w*(-2 pi chi_H), so one current always gets one
-    float whichever caller asks.
+    The one formula every caller reads: the terms are projected once, and
+    the value is alpha * length_gc(B) + beta * (-2 pi chi), so one current
+    always gets one float whichever caller asks.
     """
-    alpha, beta = float(spec[0]), float(spec[1])
-    value = 0.0
-    for h, w in terms:
-        s = shadow(h, surface)
-        wf = float(w)
-        if alpha:
-            value += alpha * wf * s.lsc
-        if beta:
-            value += beta * wf * (-2.0 * math.pi * s.chi)
-    b_key = tuple((c.letters, bw) for c, bw in _project(terms, surface).items)
-    return value, b_key
+    eta = RationalSubsetCurrent.from_terms(terms)
+    bnd = boundary_projection(eta, surface)
+    value = float(spec[0]) * length_gc(bnd, surface) + float(spec[1]) * area(eta)[0]
+    return value, tuple((c.letters, bw) for c, bw in bnd.items)
 
 
 def evaluate_functional(spec, eta: RationalSubsetCurrent, surface) -> float:

@@ -351,12 +351,16 @@ class SubgroupClass:
     key: bytes
 
     @property
-    def rank(self):
-        return from_key(self.key).cycle_rank
+    def euler_char(self):
+        """V - E, read off the key: V from the header, and each edge is
+        listed twice (at its source and its target) among the entries."""
+        _, vertex_count, body = self.key.split(b";", 2)
+        enc = array("i", body)
+        return int(vertex_count) - (len(enc) - enc.count(-1)) // 2
 
     @property
-    def euler_char(self):
-        return 1 - self.rank
+    def rank(self):
+        return 1 - self.euler_char
 
 
 def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:

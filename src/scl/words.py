@@ -80,9 +80,6 @@ class ConjClass:
     def __str__(self):
         return word_to_str(self.letters)
 
-    def __len__(self):
-        return len(self.letters)
-
 
 def _least_rotation(keys):
     """Start index of the lexicographically least rotation (Booth)."""

@@ -201,6 +201,19 @@ def test_surface_file(tmp_path, capsys):
                       "length", "--word", "a")
     assert code == 2
 
+    # the dyadic conjugate (by diag(2, 1/2)) takes the float path, exact == False,
+    # and on these small censuses its traces equal the integer ones, so the output does too
+    dyadic = {**config, "peripherals": ["abAB"],
+              "matrices": {"a": [[1, 4], [0.25, 2]], "b": [[1, -4], [-0.25, 2]]}}
+    path.write_text(json.dumps(dyadic))
+    for argv in (("orbit-count", "--seed", "1:aa,b", "--L", "20", "--grid", "4"),
+                 ("scc-count", "--L", "20", "--grid", "4"),
+                 ("boundary", "--gens", "aa,b"),
+                 ("fibers", "--seed", "1:a", "--L", "12")):
+        built_in = run_cli(capsys, "--no-meta", *argv)
+        assert built_in[0] == 0
+        assert run_cli(capsys, "--no-meta", "--surface", str(path), *argv) == built_in
+
     # every malformed shape is an input error, never a traceback or a misreading
     config["peripherals"] = ["abAB"]
     twists = [{"images": ["a", "ab"]}, {"images": ["a", "Ab"]},

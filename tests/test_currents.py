@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,17 @@ def test_evaluate_functional(torus, cyclic_a, rank2):
         pytest.approx(lsc + 2 * math.pi, rel=1e-12)
     with pytest.raises(InputError):
         currents.evaluate_functional((0, 0), eta((rank2, 1)), torus)
+    # one formula: every caller gets alpha * length_sc + beta * area, bit for bit
+    rng = random.Random(7)
+    specs = ((1, 0), (0, 1), (1, 1), (Fraction(2, 3), Fraction(5, 2)))
+    for _ in range(300):
+        e = eta(*((random_subgroup_class(rng, torus),
+                   Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                  for _ in range(rng.randint(1, 3))))
+        lsc, area = currents.length_sc(e, torus), currents.area(e)[0]
+        for a, b in specs:
+            assert currents.evaluate_functional((a, b), e, torus) == \
+                float(a) * lsc + float(b) * area
 
 
 def test_projection_is_rational_linear(rng, torus):

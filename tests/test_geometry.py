@@ -130,6 +130,11 @@ def test_surface_json_round_trip(torus):
     assert geometry.validate(s) == []
     assert s.matrices == torus.matrices
     assert s.exact
+    # conjugating by diag(2, 1/2) keeps every entry a dyadic float
+    payload["matrices"] = {"a": [[1, 4], [0.25, 2]], "b": [[1, -4], [-0.25, 2]]}
+    s = geometry.surface_from_dict(payload)
+    assert geometry.validate(s) == []
+    assert not s.exact
 
 
 def test_surface_json_missing_field():
