@@ -97,7 +97,10 @@ def fiber_histogram(ball: OrbitBall) -> dict:
 
     Fibers are saturated for length-type functionals (the value factors
     through the boundary image), so a frontier-exhausted ball carries
-    whole fibers and the histogram is meaningful.
+    whole fibers.  A ball grown on the boundary multicurve lifts every
+    member's fiber as a twisted copy of the seed's, so there the histogram
+    has one size by construction; the size itself is read off the
+    subgroup-level walk that found the seed's fiber.
     """
     seed_b = currents.boundary_projection(ball.seed, ball.surface)
     if seed_b.is_zero():

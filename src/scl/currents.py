@@ -66,6 +66,12 @@ class Multicurve:
     def __len__(self):
         return len(self.items)
 
+    @property
+    def key(self) -> tuple:
+        """Canonical item tuple ``((letters, weight), ...)``, the ``b_key``
+        of every current whose boundary image this is."""
+        return tuple((c.letters, w) for c, w in self.items)
+
 
 def check_multicurve(mc: Multicurve, surface) -> None:
     """Raise unless every class is primitive, non-peripheral and canonical."""
@@ -169,18 +175,23 @@ def check_functional(spec) -> None:
             f"functional weights must be nonnegative and not both zero, got {alpha},{beta}")
 
 
+def functional_value(spec, bnd: Multicurve, area_value: float, surface) -> float:
+    """alpha * length_gc(bnd) + beta * area_value: the one formula behind
+    every value, so a current always gets one float whichever caller asks,
+    whether it starts from the current or from its boundary image and area."""
+    return float(spec[0]) * length_gc(bnd, surface) + float(spec[1]) * area_value
+
+
 def evaluate(spec, terms, surface):
     """Value of alpha * length_sc + beta * area on the (class, weight)
     ``terms``, and the canonical item key of their boundary image.
 
-    The one formula every caller reads: the terms are projected once, and
-    the value is alpha * length_gc(B) + beta * (-2 pi chi), so one current
-    always gets one float whichever caller asks.
+    The terms are projected once, and the value is
+    ``functional_value(spec, B, -2 pi chi)``.
     """
     eta = RationalSubsetCurrent.from_terms(terms)
     bnd = boundary_projection(eta, surface)
-    value = float(spec[0]) * length_gc(bnd, surface) + float(spec[1]) * area(eta)[0]
-    return value, tuple((c.letters, bw) for c, bw in bnd.items)
+    return functional_value(spec, bnd, area(eta)[0], surface), bnd.key
 
 
 def evaluate_functional(spec, eta: RationalSubsetCurrent, surface) -> float:

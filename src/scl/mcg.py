@@ -8,6 +8,13 @@ within ``margin * L`` and reporting those within ``L``.  The margin is a
 completeness heuristic (the orbit graph restricted to a metric ball need
 not be connected), so every ball carries a frontier-exhausted flag and
 callers re-check stability under a larger margin where it matters.
+
+A value depends only on the boundary image B and on the area, which the
+action keeps, and B is equivariant.  So the ball of a seed with nonzero
+boundary image is grown on the orbit of the multicurve B(seed), and only
+the members are lifted to subgroup classes: the fiber over t(mu) is t
+applied to the fiber over mu, and every fiber is a copy of the seed's.
+One breadth-first routine walks both levels.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import currents, graphs, words
@@ -107,10 +114,21 @@ def act_on_current(phi: words.Automorphism, eta: RationalSubsetCurrent,
 class OrbitBall:
     """Explored region of a mapping-class orbit of rational currents.
 
-    ``elements`` maps the canonical element key to ``(value, b_key)`` for
-    everything *seen*; members of the ball proper are the keys with value
-    at most ``cutoff``.  ``b_key`` is the canonical item tuple of the
-    boundary image, shared verbatim by elements in the same fiber.
+    ``elements`` maps a canonical element key to ``(value, b_key)``, where
+    ``b_key`` is the canonical item tuple of the boundary image, shared
+    verbatim by the elements of one fiber; members of the ball proper are
+    the keys with value at most ``cutoff``.  A ball grown on the boundary
+    multicurve holds the lifted members and their breadth-first ancestors,
+    not every element seen; a ball grown on subgroup classes (zero
+    boundary image, or a seed valued at least ``cutoff``) holds every
+    element seen.
+
+    ``stats`` counts the orbit elements ``seen``, ``explored`` (value at
+    most ``margin * cutoff``) and ``members``, the distinct boundary
+    images seen (``curves_seen``), the elements over the seed's boundary
+    image (``fiber_size``) and the ``act_on_subgroup`` calls made
+    (``actions``).  A lifted ball counts ``fiber_size`` elements per
+    multicurve, which are the elements the subgroup-level walk would see.
     """
 
     seed: RationalSubsetCurrent
@@ -121,6 +139,7 @@ class OrbitBall:
     mode: str
     elements: dict
     frontier_exhausted: bool
+    stats: dict = field(default_factory=dict)
 
     def members(self, limit=None):
         """Deterministically ordered (key, value, b_key) rows inside the ball."""
@@ -153,6 +172,183 @@ def _ball_cap(cap):
     return cap
 
 
+def _walk(start, act, record, bound, cap, inverse):
+    """Breadth-first walk of an orbit from ``start`` under the twists.
+
+    ``record(x)`` is a node's record, its value first.  A node valued at
+    most ``bound`` is explored: ``act(i, x)`` is its image under twist
+    ``i``, except under the inverse of the twist that reached it, which
+    gives back its parent.  Returns ``(records, tree, complete)``:
+    ``records`` maps each seen node to its record, in the order seen;
+    ``tree`` maps it to ``(parent, twist index)``, or ``None`` for
+    ``start``; ``complete`` is False when the walk stopped on seeing more
+    than ``cap`` nodes.
+    """
+    records = {start: record(start)}
+    tree = {start: None}
+    queue = deque([start] if records[start][0] <= bound else ())
+    while queue:
+        x = queue.popleft()
+        back = inverse[tree[x][1]] if tree[x] else None
+        for t_idx in range(len(inverse)):
+            if t_idx == back:
+                continue
+            y = act(t_idx, x)
+            if y in records:
+                continue
+            rec = records[y] = record(y)
+            tree[y] = (x, t_idx)
+            if len(records) > cap:
+                return records, tree, False
+            if rec[0] <= bound:
+                queue.append(y)
+    return records, tree, True
+
+
+class _Orbit:
+    """The inputs of one orbit ball and the cached arithmetic on its
+    element keys: the weighted multiset of term class keys in "eta" mode,
+    the ordered term tuple in "J" mode."""
+
+    def __init__(self, seed, functional, L, margin, *, surface, twists, cap, mode):
+        currents.check_functional(functional)
+        if not 0 < L < math.inf:
+            raise InputError(f"cutoff L must be finite and positive, got {L}")
+        if not 1 <= margin < math.inf:
+            raise InputError(f"margin must be finite and at least 1, got {margin}")
+        if mode not in ("eta", "J"):
+            raise InputError(f"mode must be 'eta' or 'J', got {mode!r}")
+        self.functional, self.L, self.margin = functional, L, margin
+        self.surface, self.mode, self.cap = surface, mode, _ball_cap(cap)
+        self.twists = twist_generators(surface) if twists is None else twists
+        # twists[inverse[i]] undoes twists[i], so t(H) = K also gives t^-1(K) = H
+        self.inverse = [next((j for j, s in enumerate(self.twists) if _undoes(s, t)), None)
+                        for t in self.twists]
+        for t, inv in zip(self.twists, self.inverse):
+            if inv is None:
+                raise InputError(f"twist {t.label!r} has no inverse in the twist list")
+        self.registry = {}   # class key -> the one SubgroupClass kept for it
+        self.act_cache = {}  # (twist index, class key) -> image SubgroupClass
+        self.actions = 0
+
+        if isinstance(seed, RationalSubsetCurrent):
+            term_source = seed.terms
+        else:
+            term_source = tuple((h, Fraction(w)) for h, w in seed)
+            seed = RationalSubsetCurrent.from_terms(term_source)
+        self.seed = seed
+        self.seed_key = self.canon(
+            (self.registry.setdefault(h.key, h), Fraction(w)) for h, w in term_source)
+        self.seed_record = self.evaluate(self.seed_key)
+        value, b_key = self.seed_record
+        if not functional[0] and b_key and value <= margin * L:
+            raise InputError(
+                f"with alpha = 0 every element of this orbit has value {value} "
+                "<= margin * L, so the ball would be the whole infinite orbit")
+
+    def canon(self, term_pairs):
+        if self.mode == "J":
+            return tuple((h.key, w) for h, w in term_pairs)
+        acc = {}
+        for h, w in term_pairs:
+            acc[h.key] = acc.get(h.key, 0) + w
+        return tuple(sorted(acc.items()))
+
+    def act(self, t_idx, key):
+        """The element key of twist ``t_idx`` applied to ``key``."""
+        pairs = []
+        for cls_key, w in key:
+            img = self.act_cache.get((t_idx, cls_key))
+            if img is None:
+                h = self.registry[cls_key]
+                img = act_on_subgroup(self.twists[t_idx], h, self.surface)
+                img = self.registry.setdefault(img.key, img)
+                self.act_cache[(t_idx, cls_key)] = img
+                self.act_cache.setdefault((self.inverse[t_idx], img.key), h)
+                self.actions += 1
+            pairs.append((img, w))
+        return self.canon(pairs)
+
+    def evaluate(self, key):
+        return currents.evaluate(
+            self.functional, [(self.registry[k], w) for k, w in key], self.surface)
+
+    def walk(self, cutoff):
+        """The subgroup-level walk of a ball with this cutoff."""
+        return _walk(self.seed_key, self.act, self.evaluate, self.margin * cutoff,
+                     self.cap, self.inverse)
+
+    def counts(self, values, weight):
+        bound = self.margin * self.L
+        return {"seen": weight * len(values),
+                "explored": weight * sum(v <= bound for v in values),
+                "members": weight * sum(v <= self.L for v in values)}
+
+    def subgroup_stats(self, elements):
+        b0 = self.seed_record[1]
+        return {**self.counts([v for v, _ in elements.values()], 1),
+                "curves_seen": len({b for _, b in elements.values()}),
+                "fiber_size": sum(b == b0 for _, b in elements.values())}
+
+    def finish(self, elements, complete, stats) -> OrbitBall:
+        """The ball at cutoff L; raise it as the partial of a cap hit
+        unless its walk completed."""
+        ball = OrbitBall(seed=self.seed, functional=self.functional, cutoff=self.L,
+                         margin=self.margin, surface=self.surface, mode=self.mode,
+                         elements=elements, frontier_exhausted=complete,
+                         stats={**stats, "actions": self.actions})
+        if not complete:
+            raise ResourceLimitError(
+                f"orbit ball exceeded cap of {self.cap} elements", partial=ball)
+        return ball
+
+    def subgroup_ball(self) -> OrbitBall:
+        """The ball from the subgroup-level walk at cutoff L."""
+        elements, _, complete = self.walk(self.L)
+        return self.finish(elements, complete, self.subgroup_stats(elements))
+
+    def lifted_ball(self) -> OrbitBall:
+        """The ball grown on the orbit of B(seed), with each member's fiber
+        lifted along the breadth-first tree: fiber(t(mu)) = t(fiber(mu)).
+
+        F0, the fiber over B(seed), is read off the subgroup-level walk at
+        cutoff v0, the seed's value.  A cap hit lifts every multicurve
+        seen, so the partial holds more than ``cap`` elements.
+        """
+        v0, b0 = self.seed_record
+        found, _, complete = self.walk(v0)
+        if not complete:
+            return self.finish(found, False, self.subgroup_stats(found))
+        fiber0 = [k for k, (_, b) in found.items() if b == b0]
+        mu0 = currents.boundary_projection(self.seed, self.surface)
+        area = currents.area(self.seed)[0]
+
+        def act_curve(t_idx, mu):
+            return act_on_multicurve(self.twists[t_idx], mu)
+
+        def curve_record(mu):
+            return (currents.functional_value(self.functional, mu, area, self.surface),)
+
+        curves, tree, complete = _walk(mu0, act_curve, curve_record, self.margin * self.L,
+                                       self.cap // len(fiber0), self.inverse)
+        elements = {k: found[k] for k in fiber0}
+        fibers = {mu0: fiber0}
+        for mu, (value,) in curves.items():
+            if complete and value > self.L:
+                continue
+            path = []
+            while mu not in fibers:
+                path.append(mu)
+                mu = tree[mu][0]
+            for nu in reversed(path):
+                parent, t_idx = tree[nu]
+                fibers[nu] = [self.act(t_idx, k) for k in fibers[parent]]
+                elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], nu.key)))
+        stats = {**self.counts([v for v, in curves.values()], len(fiber0)),
+                 "curves_seen": len(curves), "fiber_size": len(fiber0)}
+        return self.finish(elements, complete, stats)
+
+
 def orbit_ball(seed, functional, L, margin=1.5, *,
                surface, twists=None, cap=None, mode="eta") -> OrbitBall:
     """Breadth-first orbit ball around ``seed``.
@@ -164,83 +360,19 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
     mode (the two orbit counts differ exactly by the term-permutation
     stabilizer).
 
+    A seed with nonzero boundary image and value below ``L`` grows the
+    ball on the orbit of its boundary multicurve and lifts the members;
+    any other seed grows it on subgroup classes.  Both give the same
+    members, values and ``b_key``s, and the same frontier flag.  A cap
+    hit raises ``ResourceLimitError`` whose partial ball has cutoff ``L``.
+
     With alpha = 0 every element of an orbit with nonzero boundary image
     has the seed's value, so a seed inside ``margin * L`` would explore
     the whole infinite orbit; that input is rejected up front.
     """
-    currents.check_functional(functional)
-    if not 0 < L < math.inf:
-        raise InputError(f"cutoff L must be finite and positive, got {L}")
-    if not 1 <= margin < math.inf:
-        raise InputError(f"margin must be finite and at least 1, got {margin}")
-    if mode not in ("eta", "J"):
-        raise InputError(f"mode must be 'eta' or 'J', got {mode!r}")
-    cap = _ball_cap(cap)
-    if twists is None:
-        twists = twist_generators(surface)
-
-    registry = {}   # class key -> the one SubgroupClass kept for it
-    act_cache = {}  # (twist index, class key) -> image SubgroupClass
-    # twists[inverse[i]] undoes twists[i], so t(H) = K also gives t^-1(K) = H
-    inverse = [next((j for j, s in enumerate(twists) if _undoes(s, t)), None)
-               for t in twists]
-    for t, inv in zip(twists, inverse):
-        if inv is None:
-            raise InputError(f"twist {t.label!r} has no inverse in the twist list")
-
-    def canon(term_pairs):
-        if mode == "J":
-            return tuple((h.key, w) for h, w in term_pairs)
-        acc = {}
-        for h, w in term_pairs:
-            acc[h.key] = acc.get(h.key, 0) + w
-        return tuple(sorted(acc.items()))
-
-    if isinstance(seed, RationalSubsetCurrent):
-        term_source = seed.terms
-    else:
-        term_source = tuple((h, Fraction(w)) for h, w in seed)
-        seed = RationalSubsetCurrent.from_terms(term_source)
-    seed_pairs = [(registry.setdefault(h.key, h), Fraction(w)) for h, w in term_source]
-    seed_key = canon(seed_pairs)
-
-    explore_bound = margin * L
-    seed_record = currents.evaluate(functional, seed_pairs, surface)
-    if not functional[0] and seed_record[1] and seed_record[0] <= explore_bound:
-        raise InputError(
-            f"with alpha = 0 every element of this orbit has value {seed_record[0]} "
-            "<= margin * L, so the ball would be the whole infinite orbit")
-    elements = {seed_key: seed_record}
-    ball = OrbitBall(seed=seed, functional=functional, cutoff=L, margin=margin,
-                     surface=surface, mode=mode, elements=elements,
-                     frontier_exhausted=False)
-    queue = deque()
-    if seed_record[0] <= explore_bound:
-        queue.append(seed_key)
-
-    while queue:
-        key = queue.popleft()
-        for t_idx, phi in enumerate(twists):
-            new_pairs = []
-            for cls_key, w in key:
-                img = act_cache.get((t_idx, cls_key))
-                if img is None:
-                    h = registry[cls_key]
-                    img = act_on_subgroup(phi, h, surface)
-                    img = registry.setdefault(img.key, img)
-                    act_cache[(t_idx, cls_key)] = img
-                    act_cache.setdefault((inverse[t_idx], img.key), h)
-                new_pairs.append((img, w))
-            new_key = canon(new_pairs)
-            if new_key in elements:
-                continue
-            record = currents.evaluate(functional, new_pairs, surface)
-            elements[new_key] = record
-            if len(elements) > cap:
-                raise ResourceLimitError(
-                    f"orbit ball exceeded cap of {cap} elements", partial=ball)
-            if record[0] <= explore_bound:
-                queue.append(new_key)
-
-    ball.frontier_exhausted = True
-    return ball
+    orbit = _Orbit(seed, functional, L, margin,
+                   surface=surface, twists=twists, cap=cap, mode=mode)
+    value, b_key = orbit.seed_record
+    if b_key and value < L:
+        return orbit.lifted_ball()
+    return orbit.subgroup_ball()

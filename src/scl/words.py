@@ -158,7 +158,8 @@ class Automorphism:
 def apply(phi: Automorphism, w) -> Word:
     """Image of ``w`` under ``phi``, freely reduced."""
     images = phi.images
-    return concat(*(images[l - 1] if l > 0 else inverse(images[-l - 1]) for l in w))
+    inverses = [inverse(im) for im in images]
+    return concat(*(images[l - 1] if l > 0 else inverses[-l - 1] for l in w))
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

@@ -211,12 +211,17 @@ def test_orbit_ball_monotone_and_margin_stable(torus):
 
 
 def test_orbit_ball_cap_carries_partial(torus):
-    with pytest.raises(ResourceLimitError) as info:
-        mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus, cap=4)
-    partial = info.value.partial
-    assert partial is not None
-    assert not partial.frontier_exhausted
-    assert len(partial.elements) > 4
+    # seed <a> (value 1.92); <aa,b> (value 3.53) with a cap hit inside the
+    # walk that finds its fiber (at cutoff 3.53) and inside the curve walk
+    for gens, L, cap in ((("a",), 6.0, 4), (("aa", "b"), 30.0, 3), (("aa", "b"), 30.0, 40)):
+        with pytest.raises(ResourceLimitError) as info:
+            mcg.orbit_ball(seed_of(torus, *gens), (1, 0), L, surface=torus, cap=cap)
+        partial = info.value.partial
+        assert partial is not None
+        assert partial.cutoff == L
+        assert not partial.frontier_exhausted
+        assert len(partial.elements) > cap
+        assert partial.stats["seen"] == len(partial.elements)
 
 
 def test_orbit_ball_env_cap(torus, monkeypatch):
@@ -308,6 +313,35 @@ def test_orbit_ball_reads_the_inverse_edge(torus, monkeypatch):
     monkeypatch.setattr(mcg, "act_on_subgroup", lambda *a: calls.append(1) or act(*a))
     L = 24.0
     ball = mcg.orbit_ball(seed_of(torus, "a"), (1, 0), L, surface=torus)
-    explored = sum(v <= 1.5 * L for v, _ in ball.elements.values())
-    assert (len(ball.elements), explored, len(ball.members())) == (732, 366, 162)
+    seen, explored = ball.stats["seen"], ball.stats["explored"]
+    assert (seen, explored, len(ball.members())) == (732, 366, 162)
     assert len(calls) <= 3 * explored + 1
+
+
+@pytest.mark.parametrize("text, spec, L, mode", [
+    ("1:a", "lsc", 24.0, "eta"),
+    ("1:aa,b", "lsc", 30.0, "eta"),
+    ("1:aa,b", "la", 20.0, "eta"),
+    ("1:aa,b;1/2:a", "la", 14.0, "eta"),
+    ("3/7:aab,bA;2:b", "la", 16.0, "eta"),
+    ("1:aab,bA,ab;2:b", "lsc", 12.0, "eta"),
+    ("1:a;1:ab", "1,1/2", 8.0, "J"),
+    ("1:aa,b", "lsc", 3.0, "eta"),   # seed value 3.525: explored, not a member
+    ("1:aa,b", "lsc", 2.2, "eta"),   # seed beyond margin * L: never explored
+    ("1:aa,b,abA", "area", 13.0, "eta"),  # zero boundary image, finite orbit
+])
+def test_orbit_ball_lift_matches_the_subgroup_walk(torus, text, spec, L, mode):
+    # the public ball lifts members from the boundary-multicurve orbit; the
+    # subgroup-level walk at the full L folds and keys every element seen
+    seed = currents.parse_current(text, torus)
+    if mode == "J":
+        seed = seed.terms
+    spec = currents.parse_functional(spec)
+    ball = mcg.orbit_ball(seed, spec, L, surface=torus, mode=mode)
+    walked = mcg._Orbit(seed, spec, L, 1.5, surface=torus, twists=None, cap=None,
+                        mode=mode).subgroup_ball()
+    assert ball.members() == walked.members()  # keys, b_keys, and values by ==
+    assert ball.frontier_exhausted == walked.frontier_exhausted
+    for name in ("seen", "explored", "members", "fiber_size", "curves_seen"):
+        assert ball.stats[name] == walked.stats[name], name
+    assert ball.stats["seen"] == ball.stats["fiber_size"] * ball.stats["curves_seen"]

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from scl import geometry, words
 from scl.errors import InputError, TrivialWordError
-from conftest import random_reduced_word
+from conftest import random_mapping_class, random_reduced_word
 
 W = words.word_from_str
 
@@ -107,6 +107,28 @@ def test_apply_respects_composition(rng):
     for _ in range(50):
         w = random_reduced_word(rng, 2, 12)
         assert words.apply(comp, w) == words.apply(PHI1, words.apply(psi, w))
+
+
+def _apply_letterwise(phi, w):
+    """Reference image: append one letter's image (or its inverse) at a time."""
+    out = ()
+    for l in w:
+        im = phi.images[abs(l) - 1]
+        out = words.concat(out, im if l > 0 else words.inverse(im))
+    return out
+
+
+def test_apply_matches_letterwise_reference(rng, torus):
+    for i in range(300):
+        if i % 2:
+            phi = random_mapping_class(rng, torus, 6)
+            rank = 2
+        else:
+            rank = rng.randint(1, 4)
+            phi = words.Automorphism(images=tuple(
+                random_reduced_word(rng, rank, 6) for _ in range(rank)))
+        w = random_reduced_word(rng, rank, 20)
+        assert words.apply(phi, w) == _apply_letterwise(phi, w)
 
 
 def test_is_peripheral_examples(torus):
