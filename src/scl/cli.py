@@ -232,7 +232,7 @@ def _build_parser():
     top.add_argument("--no-meta", action="store_true",
                      help="suppress the timestamp header for byte-stable output")
     top.add_argument("--max-ball", type=int, default=None,
-                     help="orbit ball cap (also env SCL_MAX_BALL)")
+                     help="orbit ball cap")
     top.add_argument("--max-index", type=int, default=graphs.DEFAULT_INDEX_CAP,
                      help="low-index enumeration cap")
     sub = top.add_subparsers(dest="subcommand", required=True)

@@ -76,6 +76,8 @@ class Multicurve:
 def check_multicurve(mc: Multicurve, surface) -> None:
     """Raise unless every class is primitive, non-peripheral and canonical."""
     for c, w in mc.items:
+        if words.conj_class(c.letters) != c:
+            raise InputError(f"class {c} is not in canonical form")
         _, mult = words.primitive_root(c)
         if mult != 1:
             raise InputError(f"class {c} is a proper power; fold it into its root")

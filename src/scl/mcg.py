@@ -20,7 +20,6 @@ One breadth-first routine walks both levels.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,6 @@ from .errors import ConfigError, InputError, ResourceLimitError
 from .graphs import SubgroupClass
 
 DEFAULT_BALL_CAP = 1_000_000
-BALL_CAP_ENV = "SCL_MAX_BALL"
 
 
 def mapping_class(images, surface, label="") -> words.Automorphism:
@@ -157,21 +155,6 @@ class OrbitBall:
         return len(self.members(limit))
 
 
-def _ball_cap(cap):
-    if cap is not None:
-        return cap
-    env = os.environ.get(BALL_CAP_ENV)
-    if not env:
-        return DEFAULT_BALL_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        raise InputError(f"{BALL_CAP_ENV} must be an integer, got {env!r}")
-    if cap <= 0:
-        raise InputError(f"{BALL_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
 def _walk(start, act, record, bound, cap, inverse):
     """Breadth-first walk of an orbit from ``start`` under the twists.
 
@@ -218,8 +201,11 @@ class _Orbit:
             raise InputError(f"margin must be finite and at least 1, got {margin}")
         if mode not in ("eta", "J"):
             raise InputError(f"mode must be 'eta' or 'J', got {mode!r}")
+        cap = DEFAULT_BALL_CAP if cap is None else cap
+        if cap < 1:
+            raise InputError(f"orbit ball cap must be at least 1, got {cap}")
         self.functional, self.L, self.margin = functional, L, margin
-        self.surface, self.mode, self.cap = surface, mode, _ball_cap(cap)
+        self.surface, self.mode, self.cap = surface, mode, cap
         self.twists = twist_generators(surface) if twists is None else twists
         # twists[inverse[i]] undoes twists[i], so t(H) = K also gives t^-1(K) = H
         self.inverse = [next((j for j, s in enumerate(self.twists) if _undoes(s, t)), None)

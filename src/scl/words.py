@@ -19,10 +19,13 @@ from .errors import InputError, TrivialWordError
 
 Word = tuple  # tuple of nonzero ints
 
-_ORD = {}
+# _KEY orders letters a < b < ... < A < B < ...; _INV_KEY[l] is _KEY[-l]
+_ORD, _KEY, _INV_KEY = {}, {}, {}
 for _i, _ch in enumerate(ascii_lowercase):
     _ORD[_ch] = _i + 1
     _ORD[_ch.upper()] = -(_i + 1)
+    _KEY[_i + 1] = _INV_KEY[-(_i + 1)] = _i
+    _KEY[-(_i + 1)] = _INV_KEY[_i + 1] = _i + 26
 
 
 def word_from_str(s: str) -> Word:
@@ -81,47 +84,43 @@ class ConjClass:
         return word_to_str(self.letters)
 
 
-def _least_rotation(keys):
-    """Start index of the lexicographically least rotation (Booth)."""
-    s = keys + keys
+def _least_rotation(s):
+    """Start of the least rotation of ``s``: two candidate starts i < j
+    agree on k keys, and at a mismatch the larger one moves past them."""
     n = len(s)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    s = s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(i + k + 1, j)
+            j = i + 1
         else:
-            f[j - k] = i + 1
-    return k
-
-
-def _min_rotation(keys):
-    n = len(keys)
-    k = _least_rotation(keys)
-    return (keys + keys)[k:k + n]
+            j += k + 1
+        k = 0
+    return i
 
 
 def conj_class(w) -> ConjClass:
     """Canonical unoriented conjugacy class of a nontrivial word."""
     w = reduce(w)
-    while len(w) > 1 and w[0] == -w[-1]:
-        w = w[1:-1]
+    n = len(w)
+    d = 0
+    while n - 2 * d > 1 and w[d] == -w[n - 1 - d]:
+        d += 1
+    w = w[d:n - d]
     if not w:
         raise TrivialWordError("trivial word has no conjugacy class")
-    keys = tuple((-l - 1 + 32) if l < 0 else l - 1 for l in w)
-    inv_keys = tuple((l - 1 + 32) if l > 0 else -l - 1 for l in reversed(w))
-    best = min(_min_rotation(keys), _min_rotation(inv_keys))
-    # undo the key map: key k < 32 is generator k, key k >= 32 is inverse k-32
-    letters = tuple(-(k - 31) if k >= 32 else k + 1 for k in best)
-    return ConjClass(letters)
+    keys = tuple(map(_KEY.__getitem__, w))
+    inv_keys = tuple(map(_INV_KEY.__getitem__, reversed(w)))
+    i, j = _least_rotation(keys), _least_rotation(inv_keys)
+    if keys[i:] + keys[:i] <= inv_keys[j:] + inv_keys[:j]:
+        return ConjClass(w[i:] + w[:i])
+    v = inverse(w)
+    return ConjClass(v[j:] + v[:j])
 
 
 def primitive_root(c: ConjClass):
@@ -135,9 +134,10 @@ def primitive_root(c: ConjClass):
         if n % d:
             continue
         if all(w[i] == w[i % d] for i in range(d, n)):
-            if d == n:
-                return c, 1
-            return conj_class(w[:d]), n // d
+            # w = r^m is least among the rotations of w and w^-1, and those
+            # are the m-th powers of the rotations of r and r^-1, so r is
+            # already least among its own: no second canonicalization
+            return ConjClass(w[:d]), n // d
     raise AssertionError("unreachable: every word has period len(w)")
 
 

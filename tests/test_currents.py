@@ -183,3 +183,7 @@ def test_multicurve_validation(torus):
     with pytest.raises(InputError):
         currents.check_multicurve(
             currents.Multicurve.from_dict({words.conj_class(W("abAB")): 1}), torus)
+    # ``ba`` is the class ``ab`` written out of canonical form
+    with pytest.raises(InputError, match="canonical"):
+        currents.check_multicurve(
+            currents.Multicurve(items=((words.ConjClass(W("ba")), 1),)), torus)

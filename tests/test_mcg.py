@@ -224,14 +224,10 @@ def test_orbit_ball_cap_carries_partial(torus):
         assert partial.stats["seen"] == len(partial.elements)
 
 
-def test_orbit_ball_env_cap(torus, monkeypatch):
-    monkeypatch.setenv(mcg.BALL_CAP_ENV, "4")
-    with pytest.raises(ResourceLimitError):
-        mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus)
-    for bad in ("banana", "0"):
-        monkeypatch.setenv(mcg.BALL_CAP_ENV, bad)
-        with pytest.raises(InputError):
-            mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus)
+def test_orbit_ball_rejects_a_cap_below_one(torus):
+    for cap in (0, -3):
+        with pytest.raises(InputError, match="cap"):
+            mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 6.0, surface=torus, cap=cap)
 
 
 def test_orbit_ball_input_guards(torus):

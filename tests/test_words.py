@@ -77,7 +77,59 @@ def test_primitive_root_round_trip(raw):
     except TrivialWordError:
         return
     root, m = words.primitive_root(c)
+    assert words.conj_class(root.letters) == root
     assert words.conj_class(root.letters * m) == c
+
+
+def _letter_order(l):
+    """The documented order a < b < ... < A < B < ... as a sort key."""
+    return (0, l) if l > 0 else (1, -l)
+
+
+def _brute_conj_class(w):
+    """Least of all 2n rotations of the cyclically reduced w and of w^-1."""
+    w = words.reduce(w)
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    rotations = [v[i:] + v[:i] for v in (w, words.inverse(w)) for i in range(len(w))]
+    return min(rotations, key=lambda v: [_letter_order(l) for l in v])
+
+
+def _cyclically_reduced_rank2(max_len):
+    out = [()]
+    for _ in range(max_len):
+        out = [w + (l,) for w in out for l in (1, 2, -1, -2) if not w or w[-1] != -l]
+        yield from (w for w in out if w[0] != -w[-1])
+
+
+def test_conj_class_matches_brute_force_on_all_short_rank2_words():
+    short = list(_cyclically_reduced_rank2(8))
+    assert len(short) == 9856
+    for w in short:
+        assert words.conj_class(w).letters == _brute_conj_class(w)
+
+
+def test_conj_class_matches_brute_force_on_powers_conjugates_and_rank4(rng):
+    for i in range(600):
+        rank = rng.randint(1, 4)
+        w = random_reduced_word(rng, rank, 16)
+        if i % 3 == 1:
+            w = w * rng.randint(2, 4)
+        elif i % 3 == 2:
+            u = random_reduced_word(rng, rank, 200)
+            w = words.concat(u, w, words.inverse(u))
+        assert words.conj_class(w).letters == _brute_conj_class(w)
+
+
+def test_least_rotation_matches_brute_force(rng):
+    cases = [tuple(rng.randrange(k) for _ in range(rng.randint(1, 24)))
+             for k in (1, 2, 3, 52) for _ in range(150)]
+    cases += [tuple(rng.randrange(2) for _ in range(rng.randint(1, 5))) * rng.randint(2, 6)
+              for _ in range(300)]
+    for s in cases:
+        i = words._least_rotation(s)
+        assert 0 <= i < len(s)
+        assert s[i:] + s[:i] == min(s[j:] + s[:j] for j in range(len(s)))
 
 
 PHI1 = words.Automorphism(images=(W("a"), W("ab")), label="ta")
