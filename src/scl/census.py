@@ -3,7 +3,10 @@ and the independent slope oracle for the once-punctured torus.
 
 The slope oracle parameterizes simple closed curves by coprime pairs via
 Christoffel words and walks the Stern-Brocot tree, so it never touches
-the orbit machinery it is used to cross-check.
+the orbit machinery it is used to cross-check.  A node is measured by
+one 2x2 product of its two parents' holonomy matrices (a Christoffel
+word is the product of its Farey parents' words), and only the slopes
+it keeps are turned into words and classes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import currents, geometry, words
-from .errors import InputError, LemmaHypothesisError
+from .errors import ConfigError, InputError, LemmaHypothesisError
 from .mcg import OrbitBall
 
 
@@ -141,41 +144,66 @@ def christoffel_word(p: int, q: int):
     return tuple(out)
 
 
+def _product(m, n):
+    """Product of two 2x2 matrices held as (a, b, c, d) tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _slope_lengths(surface, limit: float):
+    """(slope, length) of every simple closed geodesic of length <= limit,
+    sorted by length then slope.
+
+    Walks the Stern-Brocot tree of coprime pairs on the two branches
+    (1, 0)-(0, 1) and (1, 0)-(0, -1).  The Christoffel word of a mediant
+    is the product of its parents' words, smaller slope first, so each
+    node carries its holonomy matrix and one 2x2 product measures a
+    child.  A subtree is pruned only after both children of an over-limit
+    node are also seen over the limit, so trace monotonicity is verified
+    locally rather than assumed.
+    """
+    if not surface.is_punctured_torus:
+        raise ConfigError(
+            f"surface {surface.name!r} is not a once-punctured torus of rank 2; "
+            "the slope oracle knows only its curves")
+    if not 0 < limit < math.inf:
+        raise InputError(f"limit must be finite and positive, got {limit}")
+    mats = surface._letter_matrices
+    a, b, b_inv = mats[1], mats[2], mats[-2]
+    out = []
+    for slope, m in (((1, 0), a), ((0, 1), b)):
+        ell = geometry.checked_length(m[0] + m[3], surface, slope)
+        if ell <= limit:
+            out.append((slope, ell))
+
+    stack = [((1, 0), a, (0, 1), b, False), ((1, 0), a, (0, -1), b_inv, False)]
+    while stack:
+        left, lm, right, rm, over = stack.pop()
+        slope = (left[0] + right[0], left[1] + right[1])
+        m = _product(lm, rm)
+        ell = geometry.checked_length(m[0] + m[3], surface, slope)
+        if ell <= limit:
+            out.append((slope, ell))
+            stack.append((left, lm, slope, m, False))
+            stack.append((slope, m, right, rm, False))
+        elif not over:
+            stack.append((left, lm, slope, m, True))
+            stack.append((slope, m, right, rm, True))
+    out.sort(key=lambda row: (row[1], row[0]))
+    return out
+
+
 def scc_classes(surface, limit: float):
     """Simple closed geodesics of length <= limit, via the slope oracle.
 
-    Walks the Stern-Brocot tree of coprime pairs; a subtree is pruned
-    only after both children of an over-limit node are also seen over the
-    limit, so trace monotonicity is verified locally rather than assumed.
-    Returns [(slope, class, length)] sorted by length then slope.
+    The Stern-Brocot walk of ``_slope_lengths`` measures each slope by
+    one matrix product; only the kept slopes are turned into Christoffel
+    words and canonicalized.  Returns [(slope, class, length)] sorted by
+    length then slope.
     """
-    if not 0 < limit < math.inf:
-        raise InputError(f"limit must be finite and positive, got {limit}")
-    out = []
-
-    def measure(p, q):
-        c = words.conj_class(christoffel_word(p, q))
-        return c, geometry.geodesic_length(c, surface)
-
-    for p, q in ((1, 0), (0, 1)):
-        c, ell = measure(p, q)
-        if ell <= limit:
-            out.append(((p, q), c, ell))
-
-    stack = [((1, 0), (0, 1), False), ((1, 0), (0, -1), False)]
-    while stack:
-        left, right, over = stack.pop()
-        p, q = left[0] + right[0], left[1] + right[1]
-        c, ell = measure(p, q)
-        if ell <= limit:
-            out.append(((p, q), c, ell))
-            stack.append((left, (p, q), False))
-            stack.append(((p, q), right, False))
-        elif not over:
-            stack.append((left, (p, q), True))
-            stack.append(((p, q), right, True))
-    out.sort(key=lambda row: (row[2], row[0]))
-    return out
+    return [(slope, words.conj_class(christoffel_word(*slope)), ell)
+            for slope, ell in _slope_lengths(surface, limit)]
 
 
 def _census_grid(limit: float, grid):
@@ -191,7 +219,7 @@ def _census_grid(limit: float, grid):
 def scc_census(surface, limit: float, grid=None) -> CensusTable:
     """Counts of simple closed geodesics up to each grid length."""
     grid = _census_grid(limit, grid)
-    lengths = sorted(ell for _, _, ell in scc_classes(surface, limit))
+    lengths = [ell for _, ell in _slope_lengths(surface, limit)]
     return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid])
 
 
@@ -204,11 +232,11 @@ def mlz_census(surface, limit: float, grid=None):
     measure of the unit length ball.
     """
     grid = _census_grid(limit, grid)
-    lengths = [ell for _, _, ell in scc_classes(surface, limit)]
+    lengths = [ell for _, ell in _slope_lengths(surface, limit)]
     rows = []
     ratios = []
     for L in grid:
-        n = sum(int(L / ell) for ell in lengths if ell <= L)
+        n = sum(int(L / ell) for ell in lengths[:bisect_right(lengths, L)])
         rows.append((L, n))
         ratios.append(n / (L * L))
     return _table("mlz", surface, rows), ratios

@@ -50,6 +50,12 @@ class SurfaceStructure:
         return all(isinstance(x, int) for row_pair in self.matrices
                    for row in row_pair for x in row)
 
+    @property
+    def is_punctured_torus(self):
+        """Genus 1, one cusp, rank 2: the surface of the built-in twists
+        and of the slope oracle."""
+        return (self.genus, self.cusps) == (1, 1) and self.rank == 2
+
     @cached_property
     def _letter_matrices(self):
         mats = {}
@@ -131,12 +137,16 @@ def validated(s: SurfaceStructure) -> SurfaceStructure:
 
 def holonomy_trace(w, s: SurfaceStructure):
     """Trace of the holonomy along ``w``; exact for integer surfaces."""
-    words.check_rank(w, s.rank)
     mats = s._letter_matrices
     a, b, c, d = 1, 0, 0, 1
-    for l in w:
-        e, f, g, h = mats[l]
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    try:
+        for l in w:
+            e, f, g, h = mats[l]
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    except KeyError as exc:
+        l = exc.args[0]
+        raise InputError(
+            f"letter index {abs(l) - 1} out of range for rank {s.rank}") from None
     return a + d
 
 
@@ -170,14 +180,22 @@ def trace_length(t) -> float:
     return 2.0 * math.log(a)
 
 
-def geodesic_length(c: words.ConjClass, s: SurfaceStructure) -> float:
-    """Hyperbolic length of the closed geodesic in class ``c``."""
-    t = holonomy_trace(c.letters, s)
+def checked_length(t, s: SurfaceStructure, curve) -> float:
+    """Length of the closed geodesic whose holonomy has trace ``t``.
+
+    Raises if ``t`` is parabolic or elliptic; ``curve`` names the curve in
+    the message and is formatted only then.
+    """
     if _is_parabolic_trace(t, s.exact):
-        raise ParabolicError(f"class {c} is parabolic; it has no geodesic length")
+        raise ParabolicError(f"curve {curve} is parabolic; it has no geodesic length")
     if abs(t) < 2:
         raise DiscretenessError(f"|trace| = {abs(t)} < 2; surface configuration broken")
     return trace_length(t)
+
+
+def geodesic_length(c: words.ConjClass, s: SurfaceStructure) -> float:
+    """Hyperbolic length of the closed geodesic in class ``c``."""
+    return checked_length(holonomy_trace(c.letters, s), s, c)
 
 
 def _parse_matrix_entry(x):

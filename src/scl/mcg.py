@@ -74,7 +74,7 @@ def twist_generators(surface):
                 raise ConfigError(f"mcg_generators must be inverse-closed: {t.label!r} "
                                   "has no listed inverse")
         return gens
-    if (surface.genus, surface.cusps) == (1, 1) and surface.rank == 2:
+    if surface.is_punctured_torus:
         a, b = (1,), (2,)
         table = [
             ((a, (1, 2)), "ta"),    # a -> a,  b -> ab

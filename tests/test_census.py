@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from scl import census, currents, geometry, graphs, mcg, words
-from scl.errors import InputError, LemmaHypothesisError
+from scl.errors import ConfigError, InputError, LemmaHypothesisError
 
 W = words.word_from_str
 
@@ -86,6 +87,82 @@ def test_scc_tree_pruning_loses_nothing(torus):
                 expect.add(c)
     got = {c for _, c, _ in census.scc_classes(torus, limit)}
     assert got == expect
+
+
+def _letterwise_scc_classes(surface, limit):
+    # the same Stern-Brocot walk, measuring every node by its Christoffel
+    # word's class and a letter-by-letter trace
+    def measure(p, q):
+        c = words.conj_class(census.christoffel_word(p, q))
+        return c, geometry.geodesic_length(c, surface)
+
+    out = []
+    for p, q in ((1, 0), (0, 1)):
+        c, ell = measure(p, q)
+        if ell <= limit:
+            out.append(((p, q), c, ell))
+    stack = [((1, 0), (0, 1), False), ((1, 0), (0, -1), False)]
+    while stack:
+        left, right, over = stack.pop()
+        p, q = left[0] + right[0], left[1] + right[1]
+        c, ell = measure(p, q)
+        if ell <= limit:
+            out.append(((p, q), c, ell))
+            stack.append((left, (p, q), False))
+            stack.append(((p, q), right, False))
+        elif not over:
+            stack.append((left, (p, q), True))
+            stack.append(((p, q), right, True))
+    return sorted(out)
+
+
+def test_scc_rows_are_their_christoffel_classes(torus):
+    rows = census.scc_classes(torus, 40.0)
+    assert rows
+    for slope, c, ell in rows:
+        assert c == words.conj_class(census.christoffel_word(*slope))
+        assert ell == geometry.geodesic_length(c, torus)
+
+
+def test_mediant_product_is_the_christoffel_holonomy(torus):
+    # down to depth 12 on both branches, a node's matrix (the product of
+    # its parents', smaller slope first) has the trace of its word
+    mats = torus._letter_matrices
+    level = [((1, 0), mats[1], (0, 1), mats[2]), ((1, 0), mats[1], (0, -1), mats[-2])]
+    checked = 0
+    for _ in range(12):
+        nxt = []
+        for left, lm, right, rm in level:
+            slope = (left[0] + right[0], left[1] + right[1])
+            m = census._product(lm, rm)
+            assert m[0] + m[3] == geometry.holonomy_trace(census.christoffel_word(*slope), torus)
+            checked += 1
+            nxt += [(left, lm, slope, m), (slope, m, right, rm)]
+        level = nxt
+    assert checked == 2 * (2 ** 12 - 1)
+
+
+def test_scc_classes_on_a_float_surface_match_the_letterwise_walk(torus):
+    # the dyadic conjugate of the modular torus by diag(2, 1/2) takes the
+    # float path; products associated in another order may move a length
+    # by an ulp, never a slope or a class
+    dyadic = dataclasses.replace(
+        torus, name="dyadic", matrices=(((1, 4), (0.25, 2)), ((1, -4), (-0.25, 2))))
+    assert not dyadic.exact
+    got = sorted(census.scc_classes(dyadic, 60.0))
+    want = _letterwise_scc_classes(dyadic, 60.0)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for (_, _, ell), (_, _, ref) in zip(got, want):
+        assert abs(ell - ref) <= 1e-12 * ref
+
+
+def test_slope_oracle_needs_a_punctured_torus(torus):
+    wide = dataclasses.replace(torus, name="wide", genus=2, matrices=torus.matrices * 2)
+    twice = dataclasses.replace(torus, name="twice-punctured", cusps=2)
+    for surface in (wide, twice):
+        for run in (census.scc_classes, census.scc_census, census.mlz_census):
+            with pytest.raises(ConfigError):
+                run(surface, 10.0)
 
 
 def test_fit_exponent_synthetic():

@@ -107,6 +107,13 @@ def test_huge_trace_stays_accurate(torus):
     assert isinstance(t, int) and t > 2 ** 800
 
 
+def test_holonomy_trace_rejects_letters_out_of_range(torus):
+    for letter, index in ((3, 2), (-3, 2), (0, -1)):
+        msg = f"letter index {index} out of range for rank 2"
+        with pytest.raises(InputError, match=msg):
+            geometry.holonomy_trace((1, letter, 2), torus)
+
+
 def test_discreteness_guard():
     bad = geometry.SurfaceStructure(
         name="bad", genus=1, cusps=1,
