@@ -144,13 +144,6 @@ def christoffel_word(p: int, q: int):
     return tuple(out)
 
 
-def _product(m, n):
-    """Product of two 2x2 matrices held as (a, b, c, d) tuples."""
-    a, b, c, d = m
-    e, f, g, h = n
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
 def _slope_lengths(surface, limit: float):
     """(slope, length) of every simple closed geodesic of length <= limit,
     sorted by length then slope.
@@ -181,7 +174,7 @@ def _slope_lengths(surface, limit: float):
     while stack:
         left, lm, right, rm, over = stack.pop()
         slope = (left[0] + right[0], left[1] + right[1])
-        m = _product(lm, rm)
+        m = geometry._product(lm, rm)
         ell = geometry.checked_length(m[0] + m[3], surface, slope)
         if ell <= limit:
             out.append((slope, ell))
@@ -202,7 +195,7 @@ def scc_classes(surface, limit: float):
     words and canonicalized.  Returns [(slope, class, length)] sorted by
     length then slope.
     """
-    return [(slope, words.conj_class(christoffel_word(*slope)), ell)
+    return [(slope, words._conj_class_reduced(christoffel_word(*slope)), ell)
             for slope, ell in _slope_lengths(surface, limit)]
 
 

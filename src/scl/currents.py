@@ -145,9 +145,17 @@ def boundary_projection(eta: RationalSubsetCurrent, surface) -> Multicurve:
     return Multicurve.from_dict(acc)
 
 
+def _length(weighted_traces, surface) -> float:
+    """Sum of weight * length over (weight, trace, curve) triples, in
+    order; the one length formula, so a multicurve gets one float whether
+    its traces come from its own letters or from a twisted table."""
+    return sum(float(w) * geometry.checked_length(t, surface, c) for w, t, c in weighted_traces)
+
+
 def length_gc(mc: Multicurve, surface) -> float:
     """Weighted length of a multicurve (R-linear in the weights)."""
-    return sum(float(w) * geometry.geodesic_length(c, surface) for c, w in mc.items)
+    return _length(((w, geometry.holonomy_trace(c.letters, surface), c) for c, w in mc.items),
+                   surface)
 
 
 def length_sc(eta: RationalSubsetCurrent, surface) -> float:
@@ -181,7 +189,13 @@ def functional_value(spec, bnd: Multicurve, area_value: float, surface) -> float
     """alpha * length_gc(bnd) + beta * area_value: the one formula behind
     every value, so a current always gets one float whichever caller asks,
     whether it starts from the current or from its boundary image and area."""
-    return float(spec[0]) * length_gc(bnd, surface) + float(spec[1]) * area_value
+    return _value(spec, length_gc(bnd, surface), area_value)
+
+
+def _value(spec, length: float, area_value: float) -> float:
+    """:func:`functional_value` given the weighted length of the boundary
+    image, for callers that measure it by :func:`_length` themselves."""
+    return float(spec[0]) * length + float(spec[1]) * area_value
 
 
 def evaluate(spec, terms, surface):

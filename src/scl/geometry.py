@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import zip_longest
 
 from . import graphs, ribbon, words
 from .errors import (
@@ -135,19 +136,56 @@ def validated(s: SurfaceStructure) -> SurfaceStructure:
     return s
 
 
+def _product(m, n):
+    """Product of two 2x2 matrices held as (a, b, c, d) tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _trace(steps, table):
+    """Trace of the product of ``table[x]`` over ``steps``, each matrix an
+    (a, b, c, d) tuple; the one trace loop."""
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in map(table.__getitem__, steps):
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a + d
+
+
 def holonomy_trace(w, s: SurfaceStructure):
     """Trace of the holonomy along ``w``; exact for integer surfaces."""
-    mats = s._letter_matrices
-    a, b, c, d = 1, 0, 0, 1
     try:
-        for l in w:
-            e, f, g, h = mats[l]
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        return _trace(w, s._letter_matrices)
     except KeyError as exc:
         l = exc.args[0]
         raise InputError(
             f"letter index {abs(l) - 1} out of range for rank {s.rank}") from None
-    return a + d
+
+
+def _twisted_pairs(images, s: SurfaceStructure):
+    """The letter table of rho o t for generator images ``images`` of t,
+    stepped two letters at a time: ``(x, y)`` holds the matrix of
+    rho(t(x y)) and ``(x, 0)`` that of rho(t(x)).
+
+    ``_trace(_pairs(w), table)`` is then tr rho(t(w)), so the trace of an
+    image is read off the letters it is the image of.  Integer tables
+    only: a float product associated in another order may move an ulp.
+    """
+    mats = s._letter_matrices
+    single = {}
+    for i, im in enumerate(images):
+        a, b, c, d = reduce(_product, map(mats.__getitem__, im), (1, 0, 0, 1))
+        single[i + 1], single[-(i + 1)] = (a, b, c, d), (d, -b, -c, a)
+    table = {(x, 0): m for x, m in single.items()}
+    for x, m in single.items():
+        for y, n in single.items():
+            table[x, y] = _product(m, n)
+    return table
+
+
+def _pairs(w):
+    """The letters of ``w`` two at a time, an odd last one as ``(x, 0)``."""
+    return zip_longest(w[::2], w[1::2], fillvalue=0)
 
 
 def _is_parabolic_trace(t, exact: bool) -> bool:

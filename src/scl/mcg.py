@@ -15,6 +15,13 @@ boundary image is grown on the orbit of the multicurve B(seed), and only
 the members are lifted to subgroup classes: the fiber over t(mu) is t
 applied to the fiber over mu, and every fiber is a copy of the seed's.
 One breadth-first routine walks both levels.
+
+The curve walk keeps its nodes as sorted tuples of ``(letters, i)``
+components, ``i`` indexing the seed's distinct weights, so dedup hashes
+ints, and each image is reduced once.  On an exact surface a new node is
+measured through the twisted representation rho o t of the twist t that
+reached it, along its parent's letters, since tr rho(t(w)) =
+tr (rho o t)(w); a float surface measures the node's own letters.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
-from . import currents, graphs, words
+from . import currents, geometry, graphs, words
 from .currents import Multicurve, RationalSubsetCurrent
 from .errors import ConfigError, InputError, ResourceLimitError
 from .graphs import SubgroupClass
@@ -94,10 +102,16 @@ def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> Subgr
     return graphs.subgroup_class(image, surface=surface)
 
 
+def _image(phi: words.Automorphism, letters) -> words.ConjClass:
+    """The class of ``phi`` applied to a curve's letters: the one image
+    kernel, reducing the image once."""
+    return words._conj_class_reduced(words.apply(phi, letters))
+
+
 def act_on_multicurve(phi: words.Automorphism, mc: Multicurve) -> Multicurve:
     acc = {}
     for c, w in mc.items:
-        img = words.conj_class(words.apply(phi, c.letters))
+        img = _image(phi, c.letters)
         acc[img] = acc.get(img, 0) + w
     return Multicurve.from_dict(acc)
 
@@ -124,9 +138,14 @@ class OrbitBall:
     ``stats`` counts the orbit elements ``seen``, ``explored`` (value at
     most ``margin * cutoff``) and ``members``, the distinct boundary
     images seen (``curves_seen``), the elements over the seed's boundary
-    image (``fiber_size``) and the ``act_on_subgroup`` calls made
-    (``actions``).  A lifted ball counts ``fiber_size`` elements per
+    image (``fiber_size``), the ``act_on_subgroup`` calls made
+    (``actions``) and the actions read from the cache instead
+    (``act_cache_hits``).  A lifted ball counts ``fiber_size`` elements per
     multicurve, which are the elements the subgroup-level walk would see.
+    It also records the ``cap`` in force and the ``perf_counter`` seconds
+    of the subgroup-level walk (``subgroup_walk_s``; in a lifted ball, the
+    walk that finds the seed's fiber), the curve walk (``curve_walk_s``)
+    and the lift (``lift_s``); a step that did not run reads 0.0.
     """
 
     seed: RationalSubsetCurrent
@@ -158,16 +177,18 @@ class OrbitBall:
 def _walk(start, act, record, bound, cap, inverse):
     """Breadth-first walk of an orbit from ``start`` under the twists.
 
-    ``record(x)`` is a node's record, its value first.  A node valued at
-    most ``bound`` is explored: ``act(i, x)`` is its image under twist
-    ``i``, except under the inverse of the twist that reached it, which
-    gives back its parent.  Returns ``(records, tree, complete)``:
+    A node valued at most ``bound`` is explored: ``act(i, x)`` is
+    ``(y, hint)`` with ``y`` its image under twist ``i``, except under the
+    inverse of the twist that reached it, which gives back its parent.
+    ``record(y, hint)`` is the record of a node not seen before, its value
+    first; the hint is what ``act`` passes on, ``None`` for ``start``.
+    Returns ``(records, tree, complete)``:
     ``records`` maps each seen node to its record, in the order seen;
     ``tree`` maps it to ``(parent, twist index)``, or ``None`` for
     ``start``; ``complete`` is False when the walk stopped on seeing more
     than ``cap`` nodes.
     """
-    records = {start: record(start)}
+    records = {start: record(start, None)}
     tree = {start: None}
     queue = deque([start] if records[start][0] <= bound else ())
     while queue:
@@ -176,10 +197,10 @@ def _walk(start, act, record, bound, cap, inverse):
         for t_idx in range(len(inverse)):
             if t_idx == back:
                 continue
-            y = act(t_idx, x)
+            y, hint = act(t_idx, x)
             if y in records:
                 continue
-            rec = records[y] = record(y)
+            rec = records[y] = record(y, hint)
             tree[y] = (x, t_idx)
             if len(records) > cap:
                 return records, tree, False
@@ -215,7 +236,8 @@ class _Orbit:
                 raise InputError(f"twist {t.label!r} has no inverse in the twist list")
         self.registry = {}   # class key -> the one SubgroupClass kept for it
         self.act_cache = {}  # (twist index, class key) -> image SubgroupClass
-        self.actions = 0
+        self.actions = self.cache_hits = 0
+        self.seconds = dict.fromkeys(("subgroup_walk_s", "curve_walk_s", "lift_s"), 0.0)
 
         if isinstance(seed, RationalSubsetCurrent):
             term_source = seed.terms
@@ -252,6 +274,8 @@ class _Orbit:
                 self.act_cache[(t_idx, cls_key)] = img
                 self.act_cache.setdefault((self.inverse[t_idx], img.key), h)
                 self.actions += 1
+            else:
+                self.cache_hits += 1
             pairs.append((img, w))
         return self.canon(pairs)
 
@@ -260,9 +284,13 @@ class _Orbit:
             self.functional, [(self.registry[k], w) for k, w in key], self.surface)
 
     def walk(self, cutoff):
-        """The subgroup-level walk of a ball with this cutoff."""
-        return _walk(self.seed_key, self.act, self.evaluate, self.margin * cutoff,
-                     self.cap, self.inverse)
+        """The subgroup-level walk of a ball with this cutoff, timed."""
+        start = perf_counter()
+        found = _walk(self.seed_key, lambda t_idx, key: (self.act(t_idx, key), None),
+                      lambda key, _: self.evaluate(key), self.margin * cutoff,
+                      self.cap, self.inverse)
+        self.seconds["subgroup_walk_s"] = perf_counter() - start
+        return found
 
     def counts(self, values, weight):
         bound = self.margin * self.L
@@ -282,7 +310,9 @@ class _Orbit:
         ball = OrbitBall(seed=self.seed, functional=self.functional, cutoff=self.L,
                          margin=self.margin, surface=self.surface, mode=self.mode,
                          elements=elements, frontier_exhausted=complete,
-                         stats={**stats, "actions": self.actions})
+                         stats={**stats, "actions": self.actions,
+                                "act_cache_hits": self.cache_hits, "cap": self.cap,
+                                **self.seconds})
         if not complete:
             raise ResourceLimitError(
                 f"orbit ball exceeded cap of {self.cap} elements", partial=ball)
@@ -306,19 +336,10 @@ class _Orbit:
         if not complete:
             return self.finish(found, False, self.subgroup_stats(found))
         fiber0 = [k for k, (_, b) in found.items() if b == b0]
-        mu0 = currents.boundary_projection(self.seed, self.surface)
-        area = currents.area(self.seed)[0]
-
-        def act_curve(t_idx, mu):
-            return act_on_multicurve(self.twists[t_idx], mu)
-
-        def curve_record(mu):
-            return (currents.functional_value(self.functional, mu, area, self.surface),)
-
-        curves, tree, complete = _walk(mu0, act_curve, curve_record, self.margin * self.L,
-                                       self.cap // len(fiber0), self.inverse)
+        curves, tree, complete, weights = self.curve_walk(len(fiber0))
+        start = perf_counter()
         elements = {k: found[k] for k in fiber0}
-        fibers = {mu0: fiber0}
+        fibers = {next(iter(curves)): fiber0}  # the walk's first node is B(seed)
         for mu, (value,) in curves.items():
             if complete and value > self.L:
                 continue
@@ -329,10 +350,55 @@ class _Orbit:
             for nu in reversed(path):
                 parent, t_idx = tree[nu]
                 fibers[nu] = [self.act(t_idx, k) for k in fibers[parent]]
-                elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], nu.key)))
+                b_key = tuple((letters, weights[i]) for letters, i in nu)
+                elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], b_key)))
+        self.seconds["lift_s"] = perf_counter() - start
         stats = {**self.counts([v for v, in curves.values()], len(fiber0)),
                  "curves_seen": len(curves), "fiber_size": len(fiber0)}
         return self.finish(elements, complete, stats)
+
+    def curve_walk(self, fiber_size):
+        """The walk of the orbit of B(seed) at cutoff L, timed, and the
+        seed's sorted distinct weights.
+
+        A node is the sorted tuple of its components ``(letters, i)``,
+        with ``weights[i]`` the component's weight, so dedup hashes ints.
+        On an exact surface a new node's traces are taken through the
+        twisted table of the twist that reached it, along its parent's
+        letters: tr rho(t(w)) = tr (rho o t)(w).  A float surface measures
+        the node's own letters, one letter per step, so no value moves by
+        an ulp.
+        """
+        start = perf_counter()
+        surface, twists = self.surface, self.twists
+        mu0 = currents.boundary_projection(self.seed, surface)
+        weights = sorted({w for _, w in mu0.items})
+        float_weights = [float(w) for w in weights]
+        area = currents.area(self.seed)[0]
+        tables = ([geometry._twisted_pairs(t.images, surface) for t in twists]
+                  if surface.exact else None)
+
+        def act(t_idx, node):
+            phi = twists[t_idx]
+            images = sorted((_image(phi, letters).letters, i, letters) for letters, i in node)
+            return tuple((im, i) for im, i, _ in images), (t_idx, [src for *_, src in images])
+
+        def record(node, hint):
+            if hint is None or tables is None:
+                traces = [geometry.holonomy_trace(letters, surface) for letters, _ in node]
+            else:
+                t_idx, sources = hint
+                traces = [geometry._trace(geometry._pairs(src), tables[t_idx]) for src in sources]
+            length = currents._length(
+                ((float_weights[i], t, words.ConjClass(letters))
+                 for (letters, i), t in zip(node, traces)), surface)
+            return (currents._value(self.functional, length, area),)
+
+        node0 = tuple((c.letters, weights.index(w)) for c, w in mu0.items)
+        found = _walk(node0, act, record, self.margin * self.L,
+                      self.cap // fiber_size, self.inverse)
+        self.seconds["curve_walk_s"] = perf_counter() - start
+        return (*found, weights)
 
 
 def orbit_ball(seed, functional, L, margin=1.5, *,

@@ -13,6 +13,7 @@ inverse, under the letter order a < b < ... < A < B < ...
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from string import ascii_lowercase
 
 from .errors import InputError, TrivialWordError
@@ -59,7 +60,7 @@ def reduce(raw) -> Word:
 
 
 def inverse(w) -> Word:
-    return tuple(-l for l in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def concat(*ws) -> Word:
@@ -76,7 +77,8 @@ def concat(*ws) -> Word:
 
 @dataclass(frozen=True, slots=True)
 class ConjClass:
-    """Canonical unoriented cyclic word; build via :func:`conj_class` only."""
+    """Canonical unoriented cyclic word; build via :func:`conj_class` only,
+    or from letters it (or its reduced-input entry) returned."""
 
     letters: Word
 
@@ -106,7 +108,17 @@ def _least_rotation(s):
 
 def conj_class(w) -> ConjClass:
     """Canonical unoriented conjugacy class of a nontrivial word."""
-    w = reduce(w)
+    return _conj_class_reduced(reduce(w))
+
+
+def _conj_class_reduced(w) -> ConjClass:
+    """:func:`conj_class` of a freely reduced word, which is not reduced again.
+
+    The least rotation of an orientation starts with its least key, so
+    when the two orientations' least keys differ the smaller one wins and
+    only its rotations are scanned; a simple curve on the punctured torus
+    always takes that path.
+    """
     n = len(w)
     d = 0
     while n - 2 * d > 1 and w[d] == -w[n - 1 - d]:
@@ -115,11 +127,17 @@ def conj_class(w) -> ConjClass:
     if not w:
         raise TrivialWordError("trivial word has no conjugacy class")
     keys = tuple(map(_KEY.__getitem__, w))
-    inv_keys = tuple(map(_INV_KEY.__getitem__, reversed(w)))
-    i, j = _least_rotation(keys), _least_rotation(inv_keys)
-    if keys[i:] + keys[:i] <= inv_keys[j:] + inv_keys[:j]:
+    least, inv_least = min(keys), min(map(_INV_KEY.__getitem__, w))
+    if least < inv_least:
+        i = _least_rotation(keys)
         return ConjClass(w[i:] + w[:i])
     v = inverse(w)
+    inv_keys = tuple(map(_KEY.__getitem__, v))
+    j = _least_rotation(inv_keys)
+    if least == inv_least:
+        i = _least_rotation(keys)
+        if keys[i:] + keys[:i] <= inv_keys[j:] + inv_keys[:j]:
+            return ConjClass(w[i:] + w[:i])
     return ConjClass(v[j:] + v[:j])
 
 
@@ -157,9 +175,10 @@ class Automorphism:
 
 def apply(phi: Automorphism, w) -> Word:
     """Image of ``w`` under ``phi``, freely reduced."""
-    images = phi.images
-    inverses = [inverse(im) for im in images]
-    return concat(*(images[l - 1] if l > 0 else inverses[-l - 1] for l in w))
+    blocks = {}
+    for i, im in enumerate(phi.images):
+        blocks[i + 1], blocks[-(i + 1)] = im, inverse(im)
+    return concat(*map(blocks.__getitem__, w))
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

@@ -134,7 +134,7 @@ def test_mediant_product_is_the_christoffel_holonomy(torus):
         nxt = []
         for left, lm, right, rm in level:
             slope = (left[0] + right[0], left[1] + right[1])
-            m = census._product(lm, rm)
+            m = geometry._product(lm, rm)
             assert m[0] + m[3] == geometry.holonomy_trace(census.christoffel_word(*slope), torus)
             checked += 1
             nxt += [(left, lm, slope, m), (slope, m, right, rm)]

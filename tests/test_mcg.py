@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import math
+import time
 from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scl import currents, geometry, graphs, mcg, words
 from scl.errors import (
@@ -341,3 +345,85 @@ def test_orbit_ball_lift_matches_the_subgroup_walk(torus, text, spec, L, mode):
     for name in ("seen", "explored", "members", "fiber_size", "curves_seen"):
         assert ball.stats[name] == walked.stats[name], name
     assert ball.stats["seen"] == ball.stats["fiber_size"] * ball.stats["curves_seen"]
+
+
+def test_orbit_ball_stats_record_cap_cache_hits_and_seconds(torus):
+    seconds = ("subgroup_walk_s", "curve_walk_s", "lift_s")
+    start = time.perf_counter()
+    lifted = mcg.orbit_ball(seed_of(torus, "aa", "b"), (1, 0), 12.0, surface=torus)
+    elapsed = time.perf_counter() - start
+    walked = mcg.orbit_ball(seed_of(torus, "aa", "b", "abA"), (0, 1), 13.0, surface=torus,
+                            cap=500)
+    assert lifted.stats["cap"] == mcg.DEFAULT_BALL_CAP
+    assert walked.stats["cap"] == 500
+    for ball in (lifted, walked):
+        assert isinstance(ball.stats["act_cache_hits"], int)
+        assert ball.stats["act_cache_hits"] >= 0
+        assert all(ball.stats[name] >= 0.0 for name in seconds)
+    # the three spans are disjoint parts of one call
+    assert all(lifted.stats[name] > 0.0 for name in seconds)
+    assert sum(lifted.stats[name] for name in seconds) <= elapsed
+    assert walked.stats["curve_walk_s"] == walked.stats["lift_s"] == 0.0
+    assert walked.stats["subgroup_walk_s"] > 0.0
+    # a cap hit inside the fiber walk and inside the curve walk
+    for cap, walk in ((3, "subgroup_walk_s"), (40, "curve_walk_s")):
+        with pytest.raises(ResourceLimitError) as info:
+            mcg.orbit_ball(seed_of(torus, "aa", "b"), (1, 0), 30.0, surface=torus, cap=cap)
+        stats = info.value.partial.stats
+        assert stats["cap"] == cap
+        assert {"act_cache_hits", *seconds} <= set(stats)
+        assert stats[walk] > 0.0
+
+
+letters_rank2 = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=40)
+
+
+@given(letters_rank2)
+def test_twisted_trace_is_the_trace_of_the_image(raw):
+    # tr rho(t(w)) = tr (rho o t)(w), as integers, stepping two letters at a time
+    torus = geometry.modular_torus()
+    for t in mcg.twist_generators(torus):
+        table = geometry._twisted_pairs(t.images, torus)
+        got = geometry._trace(geometry._pairs(tuple(raw)), table)
+        want = geometry.holonomy_trace(words.apply(t, raw), torus)
+        assert type(got) is int and got == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(("1:a", "1:aa,b", "1:aa,b;1/2:a", "3/7:aab,bA;2:b")),
+       st.sampled_from(("lsc", "la")), st.floats(4.0, 12.0))
+def test_float_surface_values_are_the_letterwise_ones(text, spec, L):
+    # conjugating by diag(3, 1/3) puts 1/9 in the matrices, so a product
+    # associated in another order would move a value; the walk measures
+    # each curve's own letters there, as length_gc does
+    torus = geometry.modular_torus()
+    ninefold = dataclasses.replace(
+        torus, name="ninefold", matrices=(((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2))))
+    assert not ninefold.exact
+    seed = currents.parse_current(text, ninefold)
+    spec = currents.parse_functional(spec)
+    area = currents.area(seed)[0]
+    ball = mcg.orbit_ball(seed, spec, L, surface=ninefold)
+    assert ball.elements
+    for value, b_key in ball.elements.values():
+        mc = currents.Multicurve(items=tuple((words.ConjClass(c), w) for c, w in b_key))
+        assert value == currents.functional_value(spec, mc, area, ninefold)
+
+
+def test_curve_walk_pins_the_aab_ball_at_50(torus):
+    seed = currents.parse_current("1:aa,b", torus)
+    ball = mcg.orbit_ball(seed, (1, 0), 50.0, 1.5, surface=torus)
+    digest = hashlib.sha256(repr((ball.members(), ball.frontier_exhausted)).encode())
+    assert digest.hexdigest() == \
+        "b01af07a1325e6e5a3e8b5acbf2bbde44b3f92138112402083dbc90fceffb8c8"
+    counts = tuple(ball.stats[name] for name in ("seen", "explored", "members"))
+    assert counts == (5880, 2940, 1284)
+
+
+@pytest.mark.parametrize("text, L", [("1:a", 16.0), ("1:aa,b;1/2:a", 20.0)])
+def test_orbit_ball_members_are_margin_stable(torus, text, L):
+    seed = currents.parse_current(text, torus)
+    narrow = mcg.orbit_ball(seed, (1, 0), L, 1.5, surface=torus)
+    wide = mcg.orbit_ball(seed, (1, 0), L, 3.0, surface=torus)
+    assert narrow.frontier_exhausted and wide.frontier_exhausted
+    assert narrow.members() == wide.members()

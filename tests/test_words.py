@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +121,42 @@ def test_conj_class_matches_brute_force_on_powers_conjugates_and_rank4(rng):
             u = random_reduced_word(rng, rank, 200)
             w = words.concat(u, w, words.inverse(u))
         assert words.conj_class(w).letters == _brute_conj_class(w)
+
+
+@given(st.data())
+def test_reduced_entry_matches_brute_force_on_one_sign_words(data):
+    # each generator appears with one sign, so the orientations' least keys
+    # differ and one rotation scan decides
+    rank = data.draw(st.integers(1, 4))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    w = tuple(data.draw(st.lists(
+        st.integers(1, rank).map(lambda g: signs[g - 1] * g), min_size=1, max_size=30)))
+    with mock.patch.object(words, "_least_rotation", wraps=words._least_rotation) as scan:
+        got = words._conj_class_reduced(w)
+    assert scan.call_count == 1
+    assert got.letters == _brute_conj_class(w)
+    assert got == words.conj_class(w)
+
+
+@given(st.lists(letters, min_size=1, max_size=30))
+def test_reduced_entry_matches_brute_force_on_mixed_words(raw):
+    w = words.reduce(raw)
+    if not w:
+        with pytest.raises(TrivialWordError):
+            words._conj_class_reduced(w)
+        return
+    assert words._conj_class_reduced(w).letters == _brute_conj_class(w)
+
+
+def test_reduced_entry_takes_both_paths():
+    # the least generator with both signs (after cyclic reduction) needs
+    # both orientations scanned; otherwise one scan decides
+    for text, scans in (("aab", 1), ("aB", 1), ("AAb", 1), ("aabAAB", 2), ("baBA", 2),
+                        ("baaBaa", 1), ("AbaBa", 1), ("bcBC", 2)):
+        with mock.patch.object(words, "_least_rotation", wraps=words._least_rotation) as scan:
+            got = words._conj_class_reduced(W(text))
+        assert scan.call_count == scans, text
+        assert got.letters == _brute_conj_class(W(text)), text
 
 
 def test_least_rotation_matches_brute_force(rng):
