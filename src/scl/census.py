@@ -103,7 +103,9 @@ def fiber_histogram(ball: OrbitBall) -> dict:
     whole fibers.  A ball grown on the boundary multicurve lifts every
     member's fiber as a twisted copy of the seed's, so there the histogram
     has one size by construction; the size itself is read off the
-    subgroup-level walk that found the seed's fiber.
+    subgroup-level walk that found the seed's fiber.  A cyclic seed's
+    fibers are single classes keyed from their curves, so its histogram
+    is ``{1: members}``.
     """
     seed_b = currents.boundary_projection(ball.seed, ball.surface)
     if seed_b.is_zero():

@@ -139,6 +139,7 @@ def _cmd_orbit_count(cfg, args):
         ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
                               surface=cfg.surface, cap=cfg.max_ball, mode=args.mode)
     except ResourceLimitError as exc:
+        print(f"scl: resource cap: {exc}", file=sys.stderr)
         ball = exc.partial
     table = census.count_by_length(ball, grid)
     rows = [(L, n, ball.frontier_exhausted) for L, n in table.rows]

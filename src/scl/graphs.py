@@ -159,6 +159,16 @@ def pushforward(g: CoreGraph, images) -> CoreGraph:
                  g.rank, basepoint=g.basepoint)
 
 
+def cycle(letters, rank) -> CoreGraph:
+    """Core graph of ``<w>`` for a nontrivial cyclically reduced word ``w``:
+    one cycle, letter ``j`` read along the edge from vertex ``j`` to
+    vertex ``j + 1`` (mod ``len(w)``), already folded and with no spurs."""
+    n = len(letters)
+    edges = [(j, (j + 1) % n, l - 1) if l > 0 else ((j + 1) % n, j, -l - 1)
+             for j, l in enumerate(letters)]
+    return CoreGraph(n, sorted(edges), rank)
+
+
 def core(g: CoreGraph) -> CoreGraph:
     """Basepoint-free core: prune degree-1 spurs until min degree is 2."""
     nv, ne = g.vertex_count, len(g.edges)
@@ -377,13 +387,17 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
         g = fold(source, rank=rank)
     g = core(g)
     if surface is not None and g.cycle_rank == 1:
-        cycle = spanning_generators(g)[0]
-        peripheral, _ = words.is_peripheral(words.conj_class(cycle), surface)
-        if peripheral:
-            raise PeripheralSubgroupError(
-                "cyclic subgroup with peripheral root is outside the subgroup universe"
-            )
+        check_not_peripheral(words.conj_class(spanning_generators(g)[0]), surface)
     return SubgroupClass(canonical_key(g))
+
+
+def check_not_peripheral(c: words.ConjClass, surface) -> None:
+    """Raise unless the cyclic subgroup generated by ``c`` is in the
+    subgroup universe: a peripheral root has a single-point limit set."""
+    if words.is_peripheral(c, surface)[0]:
+        raise PeripheralSubgroupError(
+            "cyclic subgroup with peripheral root is outside the subgroup universe"
+        )
 
 
 def bouquet(rank: int) -> CoreGraph:

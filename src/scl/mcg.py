@@ -14,7 +14,9 @@ action keeps, and B is equivariant.  So the ball of a seed with nonzero
 boundary image is grown on the orbit of the multicurve B(seed), and only
 the members are lifted to subgroup classes: the fiber over t(mu) is t
 applied to the fiber over mu, and every fiber is a copy of the seed's.
-One breadth-first routine walks both levels.
+One breadth-first routine walks both levels.  For a cyclic seed c <r^m>
+the fiber over the curve mu = t(r) is the one class c <mu^m>, keyed
+straight from the cycle of mu's canonical letters with no twist action.
 
 The curve walk keeps its nodes as sorted tuples of ``(letters, i)``
 components, ``i`` indexing the seed's distinct weights, so dedup hashes
@@ -131,17 +133,21 @@ class OrbitBall:
     verbatim by the elements of one fiber; members of the ball proper are
     the keys with value at most ``cutoff``.  A ball grown on the boundary
     multicurve holds the lifted members and their breadth-first ancestors,
-    not every element seen; a ball grown on subgroup classes (zero
+    not every element seen, and for a cyclic seed (one term of rank 1) it
+    holds the members only; a ball grown on subgroup classes (zero
     boundary image, or a seed valued at least ``cutoff``) holds every
-    element seen.
+    element seen.  A cap hit's partial holds the lift of every multicurve
+    seen.
 
     ``stats`` counts the orbit elements ``seen``, ``explored`` (value at
     most ``margin * cutoff``) and ``members``, the distinct boundary
     images seen (``curves_seen``), the elements over the seed's boundary
     image (``fiber_size``), the ``act_on_subgroup`` calls made
-    (``actions``) and the actions read from the cache instead
-    (``act_cache_hits``).  A lifted ball counts ``fiber_size`` elements per
-    multicurve, which are the elements the subgroup-level walk would see.
+    (``actions``; for a cyclic seed's lifted ball, those of the walk that
+    finds the seed's fiber only) and the actions read from the cache
+    instead (``act_cache_hits``).  A lifted ball counts ``fiber_size``
+    elements per multicurve, which are the elements the subgroup-level
+    walk would see.
     It also records the ``cap`` in force and the ``perf_counter`` seconds
     of the subgroup-level walk (``subgroup_walk_s``; in a lifted ball, the
     walk that finds the seed's fiber), the curve walk (``curve_walk_s``)
@@ -324,12 +330,13 @@ class _Orbit:
         return self.finish(elements, complete, self.subgroup_stats(elements))
 
     def lifted_ball(self) -> OrbitBall:
-        """The ball grown on the orbit of B(seed), with each member's fiber
-        lifted along the breadth-first tree: fiber(t(mu)) = t(fiber(mu)).
+        """The ball grown on the orbit of B(seed), each member's fiber
+        lifted to subgroup classes.
 
         F0, the fiber over B(seed), is read off the subgroup-level walk at
-        cutoff v0, the seed's value.  A cap hit lifts every multicurve
-        seen, so the partial holds more than ``cap`` elements.
+        cutoff v0, the seed's value.  A complete walk lifts the members
+        only; a cap hit lifts every multicurve seen, so the partial holds
+        more than ``cap`` elements.
         """
         v0, b0 = self.seed_record
         found, _, complete = self.walk(v0)
@@ -338,11 +345,25 @@ class _Orbit:
         fiber0 = [k for k, (_, b) in found.items() if b == b0]
         curves, tree, complete, weights = self.curve_walk(len(fiber0))
         start = perf_counter()
-        elements = {k: found[k] for k in fiber0}
-        fibers = {next(iter(curves)): fiber0}  # the walk's first node is B(seed)
-        for mu, (value,) in curves.items():
-            if complete and value > self.L:
-                continue
+        kept = [mu for mu, (value,) in curves.items() if not complete or value <= self.L]
+        (cls_key, _), *rest = self.seed_key
+        if rest or self.registry[cls_key].rank != 1:
+            elements = self.lift(curves, kept, tree, {k: found[k] for k in fiber0}, weights)
+        else:
+            elements = self.cyclic_lift(curves, kept, weights)
+        self.seconds["lift_s"] = perf_counter() - start
+        stats = {**self.counts([v for v, in curves.values()], len(fiber0)),
+                 "curves_seen": len(curves), "fiber_size": len(fiber0)}
+        return self.finish(elements, complete, stats)
+
+    def lift(self, curves, kept, tree, fiber0, weights):
+        """The fibers over the ``kept`` nodes of the curve walk, pushed
+        along its breadth-first tree from F0 (``fiber0``, the elements
+        over its first node, B(seed)): fiber(t(mu)) = t(fiber(mu)).  The
+        result also holds the lifted ancestors."""
+        elements = dict(fiber0)
+        fibers = {next(iter(curves)): list(fiber0)}
+        for mu in kept:
             path = []
             while mu not in fibers:
                 path.append(mu)
@@ -352,10 +373,29 @@ class _Orbit:
                 fibers[nu] = [self.act(t_idx, k) for k in fibers[parent]]
                 b_key = tuple((letters, weights[i]) for letters, i in nu)
                 elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], b_key)))
-        self.seconds["lift_s"] = perf_counter() - start
-        stats = {**self.counts([v for v, in curves.values()], len(fiber0)),
-                 "curves_seen": len(curves), "fiber_size": len(fiber0)}
-        return self.finish(elements, complete, stats)
+        return elements
+
+    def cyclic_lift(self, curves, kept, weights):
+        """The members over the ``kept`` nodes of the curve walk of a seed
+        c <r^m>, read off the nodes' letters.
+
+        B(seed) is the one curve r with weight c m, so every node is one
+        curve, the class of t(r) for the mapping class t that reached it,
+        and the one element over it is c <t(r)^m>, whose core graph is the
+        cycle of its letters repeated m times: no twist action, no fold.
+        """
+        ((cls_key, c),) = self.seed_key
+        ((root, _),) = next(iter(curves))
+        m = graphs.from_key(cls_key).vertex_count // len(root)
+        surface = self.surface
+        elements = {}
+        for mu in kept:
+            ((letters, i),) = mu
+            word = letters * m  # canonical, as the m-th power of a canonical word
+            graphs.check_not_peripheral(words.ConjClass(word), surface)
+            h = SubgroupClass(graphs.canonical_key(graphs.cycle(word, surface.rank)))
+            elements[self.canon([(h, c)])] = (curves[mu][0], ((letters, weights[i]),))
+        return elements
 
     def curve_walk(self, fiber_size):
         """The walk of the orbit of B(seed) at cutoff L, timed, and the

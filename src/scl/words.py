@@ -178,7 +178,12 @@ def apply(phi: Automorphism, w) -> Word:
     blocks = {}
     for i, im in enumerate(phi.images):
         blocks[i + 1], blocks[-(i + 1)] = im, inverse(im)
-    return concat(*map(blocks.__getitem__, w))
+    try:
+        return concat(*map(blocks.__getitem__, w))
+    except KeyError as exc:
+        raise InputError(
+            f"letter {exc.args[0]!r} is not a generator of rank {phi.rank} or its inverse"
+        ) from None
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

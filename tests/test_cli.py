@@ -94,6 +94,16 @@ def test_orbit_count_cap_exit(capsys):
     assert all(line.endswith("False") for line in lines[1:])
 
 
+def test_orbit_count_reports_a_cap_hit_on_stderr(capsys):
+    code = cli.run(["--no-meta", "--max-ball", "5", "orbit-count", "--seed", "1:a",
+                    "--L", "8", "--grid", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out.splitlines() == [
+        "L,count,frontier_exhausted", "4.0,6,False", "8.0,6,False"]
+    assert captured.err == "scl: resource cap: orbit ball exceeded cap of 5 elements\n"
+
+
 def test_orbit_count_checks_grid_before_the_ball(capsys, monkeypatch):
     def no_ball(*args, **kwargs):
         raise AssertionError("orbit_ball called before the grid was checked")

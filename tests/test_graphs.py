@@ -74,6 +74,20 @@ def test_canonical_key_conjugate_cyclic():
     assert graphs.canonical_key(a) == graphs.canonical_key(b)
 
 
+def test_cycle_is_the_core_of_a_cyclic_subgroup(rng):
+    # the cycle of a cyclically reduced word, in any rotation or power, is
+    # the folded core graph of the subgroup it generates
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        w = words.conj_class(random_reduced_word(rng, rank, 14)).letters
+        w = (w[rng.randrange(len(w)):] + w)[:len(w)] * rng.randint(1, 3)
+        g = graphs.cycle(w, rank)
+        assert (g.vertex_count, g.cycle_rank, g.basepoint) == (len(w), 1, None)
+        want = graphs.core(graphs.fold([w], rank=rank))
+        assert graphs.canonical_key(g) == graphs.canonical_key(want)
+    assert graphs.cycle(W("aB"), 2).edges == ((0, 1, 0), (0, 1, 1))
+
+
 def test_canonical_key_separates_paper_example():
     h = graphs.core(graphs.fold(PAPER_H))
     ph = graphs.core(graphs.fold(PAPER_PHI_H))

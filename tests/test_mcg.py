@@ -308,11 +308,14 @@ def test_orbit_ball_matches_fold_free_curve_oracle(torus):
 def test_orbit_ball_reads_the_inverse_edge(torus, monkeypatch):
     # t(H) = K gives t^-1(K) = H, so the twist back to an element's parent
     # is never acted out: at most three actions per explored element
+    # (the subgroup-level walk: the public ball of a cyclic seed acts only
+    # to find the seed's fiber)
     calls = []
     act = mcg.act_on_subgroup
     monkeypatch.setattr(mcg, "act_on_subgroup", lambda *a: calls.append(1) or act(*a))
     L = 24.0
-    ball = mcg.orbit_ball(seed_of(torus, "a"), (1, 0), L, surface=torus)
+    ball = mcg._Orbit(seed_of(torus, "a"), (1, 0), L, 1.5, surface=torus, twists=None,
+                      cap=None, mode="eta").subgroup_ball()
     seen, explored = ball.stats["seen"], ball.stats["explored"]
     assert (seen, explored, len(ball.members())) == (732, 366, 162)
     assert len(calls) <= 3 * explored + 1
@@ -329,6 +332,10 @@ def test_orbit_ball_reads_the_inverse_edge(torus, monkeypatch):
     ("1:aa,b", "lsc", 3.0, "eta"),   # seed value 3.525: explored, not a member
     ("1:aa,b", "lsc", 2.2, "eta"),   # seed beyond margin * L: never explored
     ("1:aa,b,abA", "area", 13.0, "eta"),  # zero boundary image, finite orbit
+    ("1:aa", "lsc", 30.0, "eta"),    # cyclic seeds: a proper power,
+    ("5/3:aab", "lsc", 24.0, "eta"),  # a weight other than 1,
+    ("1:aabb", "lsc", 30.0, "eta"),  # a non-simple curve,
+    ("1:a", "lsc", 20.0, "J"),       # and J mode
 ])
 def test_orbit_ball_lift_matches_the_subgroup_walk(torus, text, spec, L, mode):
     # the public ball lifts members from the boundary-multicurve orbit; the
@@ -345,6 +352,37 @@ def test_orbit_ball_lift_matches_the_subgroup_walk(torus, text, spec, L, mode):
     for name in ("seen", "explored", "members", "fiber_size", "curves_seen"):
         assert ball.stats[name] == walked.stats[name], name
     assert ball.stats["seen"] == ball.stats["fiber_size"] * ball.stats["curves_seen"]
+
+
+def test_cyclic_members_are_the_folded_classes_of_their_curves(torus):
+    # a cyclic seed's member over the curve mu is <mu>, keyed from the
+    # cycle of mu's letters; folding mu from scratch gives the same key
+    ball = mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 24.0, surface=torus)
+    assert len(ball.elements) == ball.stats["members"] == 162
+    for key, _, b_key in ball.members():
+        ((letters, weight),) = b_key
+        h = graphs.subgroup_class([letters], surface=torus, rank=2)
+        assert key == ((h.key, Fraction(1)),) and weight == 1
+
+
+@pytest.mark.parametrize("text, L", [("1:a", 24.0), ("1:aa", 30.0), ("5/3:aab", 24.0)])
+def test_cyclic_ball_acts_only_to_find_the_seed_fiber(torus, text, L):
+    seed = currents.parse_current(text, torus)
+    orbit = mcg._Orbit(seed, (1, 0), L, 1.5, surface=torus, twists=None, cap=None,
+                       mode="eta")
+    orbit.walk(orbit.seed_record[0])
+    ball = mcg.orbit_ball(seed, (1, 0), L, surface=torus)
+    assert ball.stats["actions"] == orbit.actions > 0
+    assert set(ball.elements) == {k for k, _, _ in ball.members()}
+
+
+def test_cyclic_ball_pins_the_curve_ball_at_60(torus):
+    ball = mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 60.0, 1.5, surface=torus)
+    digest = hashlib.sha256(repr((ball.members(), ball.frontier_exhausted)).encode())
+    assert digest.hexdigest() == \
+        "d591e2b4ca6ebaf5890bf5f5d3318ebd2ee2bf23bce579861682f4347c704df6"
+    counts = tuple(ball.stats[name] for name in ("seen", "explored", "members"))
+    assert counts == (4404, 2202, 984)
 
 
 def test_orbit_ball_stats_record_cap_cache_hits_and_seconds(torus):

@@ -180,6 +180,12 @@ def test_apply_examples():
     assert words.conj_class(W("aabABA")) == words.conj_class(W("abAB"))
 
 
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_apply_rejects_a_letter_outside_the_rank(letter):
+    with pytest.raises(InputError, match=f"letter {letter} "):
+        words.apply(PHI1, (1, letter))
+
+
 letters_rank2 = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 
 
