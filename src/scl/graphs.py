@@ -170,13 +170,22 @@ def cycle(letters, rank) -> CoreGraph:
 
 
 def core(g: CoreGraph) -> CoreGraph:
-    """Basepoint-free core: prune degree-1 spurs until min degree is 2."""
-    nv, ne = g.vertex_count, len(g.edges)
+    """Basepoint-free core: prune degree-1 spurs until min degree is 2.
+
+    A graph with no spur (every complete cover, every cycle, every core)
+    is returned as it is, with sorted edges and no basepoint; incident
+    lists are built only when there is something to prune.
+    """
+    nv = g.vertex_count
     deg = [0] * nv
-    incident = [[] for _ in range(nv)]
-    for eid, (u, v, _) in enumerate(g.edges):
+    for u, v, _ in g.edges:
         deg[u] += 1
         deg[v] += 1
+    if nv and min(deg) > 1:
+        return CoreGraph(nv, sorted(g.edges), g.rank)
+    ne = len(g.edges)
+    incident = [[] for _ in range(nv)]
+    for eid, (u, v, _) in enumerate(g.edges):
         incident[u].append(eid)
         incident[v].append(eid)
     dead_v = [False] * nv
@@ -233,65 +242,70 @@ def index(g: CoreGraph):
     return None
 
 
-def _vertex_profiles(g: CoreGraph):
-    """Degree-first local invariant; ties broken by incident dart types."""
-    prof = [[] for _ in range(g.vertex_count)]
-    for u, v, lab in g.edges:
-        prof[u].append(2 * lab)
-        prof[v].append(2 * lab + 1)
-    return [(len(p), tuple(sorted(p))) for p in prof]
-
-
-def _encode_min(tables, starts, width):
-    """Least BFS encoding over ``starts``, grown in lockstep.
-
-    Each step reads the next discovered vertex of every surviving start
-    and appends its 2 * rank entries; only the starts whose encoding so
-    far is the least survive the step.  All encodings have length
-    ``width``, so the survivors' common encoding is the lexicographic
-    minimum over all starts.
-    """
-    runs = [({s: 0}, [s]) for s in starts]
-    enc = []
-    for step in range(width // len(tables)):
-        best = None
-        for order, verts in runs:
-            v = verts[step]
-            chunk = []
-            for table in tables:
-                w = table.get(v)
-                if w is None:
-                    chunk.append(-1)
-                    continue
-                j = order.get(w)
-                if j is None:
-                    j = order[w] = len(verts)
-                    verts.append(w)
-                chunk.append(j)
-            if best is None or chunk < best:
-                best, kept = chunk, [(order, verts)]
-            elif chunk == best:
-                kept.append((order, verts))
-        runs = kept
-        enc += best
-    return enc
-
-
 def canonical_key(g: CoreGraph) -> bytes:
     """Isomorphism-complete key of a connected folded graph.
 
-    Minimum over distinguished start vertices of a deterministic BFS
-    encoding; the encoding lists, per discovered vertex and (label,
-    direction), the discovery index of the neighbor, which reconstructs
-    the graph up to relabeling.
+    The least breadth-first encoding over the start vertices of best
+    profile.  A vertex's profile is the set of its dart types (``2 * lab``
+    out, ``2 * lab + 1`` in), kept as a bitmask and ordered by size, then
+    by its sorted types.  From a start, the encoding lists for each
+    discovered vertex its 2 * rank neighbor slots as discovery indices (-1
+    where there is no edge), which reconstructs the graph up to
+    relabeling.
+
+    The encodings from all starts grow in lockstep, one vertex per step,
+    and only the starts whose encoding so far is least survive a step.
+    Once one start is left, its encoding is finished without comparing.
     """
-    profiles = _vertex_profiles(g)
-    best_profile = max(profiles)
-    starts = [v for v, p in enumerate(profiles) if p == best_profile]
-    width = 2 * g.rank * g.vertex_count
-    tables = _tables(g)
-    enc = _encode_min(tables, starts, width)
-    return b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
+    n, slots = g.vertex_count, 2 * g.rank
+    rows = [[-1] * slots for _ in range(n)]
+    masks = [0] * n
+    for u, v, lab in g.edges:
+        rows[u][2 * lab] = v
+        rows[v][2 * lab + 1] = u
+        masks[u] |= 1 << 2 * lab
+        masks[v] |= 2 << 2 * lab
+    best = max(set(masks), key=lambda m: (
+        m.bit_count(), [t for t in range(slots) if m >> t & 1]))
+    runs = []
+    for s, m in enumerate(masks):
+        if m == best:
+            order = [-1] * n
+            order[s] = 0
+            runs.append((order, [s]))
+    enc = []
+    step = 0
+    while len(runs) > 1 and step < n:
+        least = None
+        for order, verts in runs:
+            chunk = []
+            for w in rows[verts[step]]:
+                if w >= 0:
+                    j = order[w]
+                    if j < 0:
+                        j = order[w] = len(verts)
+                        verts.append(w)
+                    w = j
+                chunk.append(w)
+            if least is None or chunk < least:
+                least, kept = chunk, [(order, verts)]
+            elif chunk == least:
+                kept.append((order, verts))
+        runs = kept
+        enc += least
+        step += 1
+    # one start left: the same reads, written straight into the encoding
+    order, verts = runs[0]
+    for i in range(step, n):
+        for w in rows[verts[i]]:
+            if w >= 0:
+                j = order[w]
+                if j < 0:
+                    j = order[w] = len(verts)
+                    verts.append(w)
+                w = j
+            enc.append(w)
+    return b"%d;%d;" % (g.rank, n) + array("i", enc).tobytes()
 
 
 def from_key(key: bytes) -> CoreGraph:
@@ -416,13 +430,13 @@ def subgroups_of_index(rank: int, k: int, cap: int = DEFAULT_INDEX_CAP):
         raise InputError("rank and index must be positive")
     if k > cap:
         raise ResourceLimitError(f"index {k} above cap {cap}")
-    tables = []
-    table = [[None] * k for _ in range(rank)]
+    covers = []
+    darts = [None] * (rank * k)  # slot p * rank + gidx holds (p, q, gidx)
     used = [[False] * k for _ in range(rank)]
 
     def rec(slot, introduced):
         if slot == rank * k:
-            tables.append([row[:] for row in table])
+            covers.append(CoreGraph(k, sorted(darts), rank, basepoint=0))
             return
         p, gidx = divmod(slot, rank)
         if p >= introduced:
@@ -430,19 +444,13 @@ def subgroups_of_index(rank: int, k: int, cap: int = DEFAULT_INDEX_CAP):
         for q in range(min(introduced + 1, k)):
             if used[gidx][q]:
                 continue
-            table[gidx][p] = q
+            darts[slot] = (p, q, gidx)
             used[gidx][q] = True
             rec(slot + 1, introduced + 1 if q == introduced else introduced)
             used[gidx][q] = False
-        table[gidx][p] = None
 
     rec(0, 1)
-    graphs = []
-    for tab in tables:
-        edges = [(p, tab[gidx][p], gidx) for gidx in range(rank) for p in range(k)]
-        edges.sort()
-        graphs.append(CoreGraph(k, edges, rank, basepoint=0))
-    return graphs
+    return covers
 
 
 def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CAP):
@@ -454,7 +462,7 @@ def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CA
     """
     g = from_key(h.key)
     _, tree = _spanning_tree(g)
-    non_tree = [e for e in g.edges if e not in tree]
+    non_tree = {e: i for i, e in enumerate(e for e in g.edges if e not in tree)}
     m = len(non_tree)
     assert m == g.cycle_rank
 
@@ -469,7 +477,7 @@ def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CA
                 for s in range(k):
                     edges.append((u * k + s, v * k + s, lab))
             else:
-                perm = perms[non_tree.index((u, v, lab))]
+                perm = perms[non_tree[u, v, lab]]
                 for s in range(k):
                     edges.append((u * k + s, v * k + perm[s], lab))
         edges.sort()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from array import array
@@ -132,32 +133,48 @@ def test_canonical_key_complete(rng, torus):
 
 
 def _exhaustive_key(g):
-    """The key as the least of the full BFS encodings from every start."""
+    """The key as the least of the full BFS encodings from every start of
+    best profile, built from dict tables and sorted-tuple profiles and
+    sharing no code with ``canonical_key``."""
+    darts = [[] for _ in range(g.vertex_count)]
+    tables = [{} for _ in range(2 * g.rank)]
+    for u, v, lab in g.edges:
+        darts[u].append(2 * lab)
+        darts[v].append(2 * lab + 1)
+        tables[2 * lab][u] = v
+        tables[2 * lab + 1][v] = u
+    profiles = [(len(d), tuple(sorted(d))) for d in darts]
 
-    def encode_from(tables, start, width):
+    def encode_from(start):
         order = {start: 0}
         verts = [start]
-        enc = [-1] * width
-        pos = 0
+        enc = []
         for v in verts:
             for table in tables:
                 w = table.get(v)
-                if w is not None:
-                    j = order.get(w)
-                    if j is None:
-                        j = len(verts)
-                        order[w] = j
-                        verts.append(w)
-                    enc[pos] = j
-                pos += 1
+                if w is None:
+                    enc.append(-1)
+                    continue
+                if w not in order:
+                    order[w] = len(verts)
+                    verts.append(w)
+                enc.append(order[w])
         return enc
 
-    profiles = graphs._vertex_profiles(g)
-    starts = [v for v, p in enumerate(profiles) if p == max(profiles)]
-    width = 2 * g.rank * g.vertex_count
-    tables = graphs._tables(g)
-    enc = min(encode_from(tables, s, width) for s in starts)
+    best = max(profiles)
+    enc = min(encode_from(s) for s, p in enumerate(profiles) if p == best)
     return b"%d;%d;" % (g.rank, g.vertex_count) + array("i", enc).tobytes()
+
+
+def _random_cyclic_word(rng, rank, n):
+    """A cyclically reduced word of exactly ``n`` letters."""
+    w = []
+    while len(w) < n:
+        l = rng.choice([1, -1]) * rng.randint(1, rank)
+        if w and (l == -w[-1] or len(w) == n - 1 and l == -w[0]):
+            continue
+        w.append(l)
+    return w
 
 
 def test_canonical_key_is_the_exhaustive_minimum(rng):
@@ -167,18 +184,99 @@ def test_canonical_key_is_the_exhaustive_minimum(rng):
             if all(w[i] != -w[i - 1] for i in range(n)):
                 cores.append(graphs.core(graphs.fold([w], rank=2)))
     assert len(cores) == 9856
-    for k in range(1, 5):
+    for k in range(1, 7):
         cores += graphs.subgroups_of_index(2, k)
     for _ in range(300):
         rank = rng.randint(2, 4)
         gens = [random_reduced_word(rng, rank, 12) for _ in range(rng.randint(2, 4))]
         cores.append(graphs.core(graphs.fold(gens, rank=rank)))
+    # one-cycle graphs as long as the members of a curve's orbit ball
+    for _ in range(200):
+        cores.append(graphs.cycle(_random_cyclic_word(rng, 2, rng.randint(20, 61)), 2))
     for g in cores:
         key = graphs.canonical_key(g)
         assert key == _exhaustive_key(g)
         assert graphs.canonical_key(graphs.from_key(key)) == key
         h = graphs.SubgroupClass(key)
         assert (h.rank, h.euler_char) == (g.cycle_rank, g.vertex_count - len(g.edges))
+
+
+def _pruned(g):
+    """Reference core: drop the first vertex of degree <= 1 until there is
+    none, then number the survivors in order."""
+    alive = list(range(g.vertex_count))
+    edges = list(g.edges)
+    while True:
+        deg = dict.fromkeys(alive, 0)
+        for u, v, _ in edges:
+            deg[u] += 1
+            deg[v] += 1
+        spur = next((v for v in alive if deg[v] <= 1), None)
+        if spur is None:
+            break
+        alive.remove(spur)
+        edges = [e for e in edges if spur not in e[:2]]
+    number = {v: i for i, v in enumerate(alive)}
+    return len(alive), tuple(sorted((number[u], number[v], lab) for u, v, lab in edges)), None
+
+
+def _min_degree(g):
+    deg = [0] * g.vertex_count
+    for u, v, _ in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return min(deg)
+
+
+def test_core_returns_a_spur_free_graph_as_it_is(rng):
+    spur_free = list(graphs.subgroups_of_index(2, 4))
+    for _ in range(50):
+        c = graphs.cycle(_random_cyclic_word(rng, 2, rng.randint(1, 30)), 2)
+        spur_free.append(graphs.CoreGraph(c.vertex_count, c.edges, c.rank, basepoint=0))
+    for _ in range(100):
+        rank = rng.randint(2, 3)
+        gens = [random_reduced_word(rng, rank, 10) for _ in range(rng.randint(1, 3))]
+        try:
+            c = graphs.core(graphs.fold(gens, rank=rank))
+        except TrivialSubgroupError:
+            continue
+        edges = list(c.edges)
+        rng.shuffle(edges)
+        spur_free.append(graphs.CoreGraph(c.vertex_count, edges, c.rank, basepoint=0))
+    for g in spur_free:
+        assert g.basepoint == 0 and _min_degree(g) > 1
+        c = graphs.core(g)
+        assert (c.vertex_count, c.edges, c.basepoint) == _pruned(g)
+
+
+def test_core_still_prunes_spurs(rng):
+    c = graphs.core(graphs.fold([W("abA")]))
+    assert (c.vertex_count, c.edges, c.basepoint) == (1, ((0, 0, 1),), None)
+    pruned = 0
+    for _ in range(200):
+        # conjugating every generator by one word grows a stem at the basepoint
+        u = random_reduced_word(rng, 2, 6)
+        gens = [words.concat(u, random_reduced_word(rng, 2, 10), words.inverse(u))
+                for _ in range(rng.randint(1, 3))]
+        try:
+            g = graphs.fold(gens, rank=2)
+        except TrivialSubgroupError:
+            continue
+        if _min_degree(g) > 1:
+            continue
+        c = graphs.core(g)
+        assert (c.vertex_count, c.edges, c.basepoint) == _pruned(g)
+        assert c.vertex_count < g.vertex_count
+        pruned += 1
+    assert pruned > 100
+
+
+def test_core_of_a_graph_without_cycles_is_trivial():
+    for g in (graphs.CoreGraph(0, [], 2),
+              graphs.CoreGraph(1, [], 2, basepoint=0),
+              graphs.CoreGraph(3, [(0, 1, 0), (2, 1, 1)], 2, basepoint=0)):
+        with pytest.raises(TrivialSubgroupError):
+            graphs.core(g)
 
 
 def test_folding_confluent(rng):
@@ -259,6 +357,22 @@ def test_subgroups_of_index_cap():
         graphs.subgroups_of_index(0, 1)
 
 
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_subgroups_of_index_pins_the_covers_and_keys(torus):
+    # the index-6 enumeration, in order, and the key of each cover
+    covers = graphs.subgroups_of_index(2, 6)
+    assert len(covers) == 3447
+    assert _digest(repr([(g.vertex_count, g.edges, g.basepoint) for g in covers]).encode()) == \
+        "4c65fbf552e70448e4cfc27a349c29046697e54f8cbc6b5f30abf1d38c985581"
+    keys = [graphs.subgroup_class(g, surface=torus).key for g in covers]
+    assert len(set(keys)) == 624
+    assert _digest(b"\n".join(k.hex().encode() for k in keys)) == \
+        "ace5f147dd83e52167f6b65fcb3676da3ce923d601299b5a2350055835e72002"
+
+
 def test_finite_index_subgroups_cyclic(torus):
     h = graphs.subgroup_class([W("a")], surface=torus, rank=2)
     subs = graphs.finite_index_subgroups(h, 3)
@@ -282,3 +396,14 @@ def test_finite_index_subgroups_cover_shape(rng, torus):
         for cover in graphs.finite_index_subgroups(h, k):
             assert graphs.from_key(cover.key).vertex_count == k * graphs.from_key(h.key).vertex_count
             assert len(graphs.from_key(cover.key).edges) == k * len(graphs.from_key(h.key).edges)
+
+
+@pytest.mark.parametrize("k, count, digest", [
+    (2, 3, "0a546daac1e5a0c83a5a8ed4905057f37eb1347965094aa8de38e9cc0fe54100"),
+    (3, 13, "fc4a1065ddd2c1a04fa3eee96bd2d62590489f1f3e65d8ec07c17d94a8962b87"),
+])
+def test_finite_index_subgroups_pins_the_keys(torus, k, count, digest):
+    h = graphs.subgroup_class([(1, 1), (2,)], surface=torus)
+    covers = graphs.finite_index_subgroups(h, k)
+    assert len(covers) == count
+    assert _digest(b"\n".join(c.key.hex().encode() for c in covers)) == digest
