@@ -51,15 +51,17 @@ def make_grid(limit: float, points: int):
 
 
 def _checked_grid(grid, limit, name):
-    """Sorted grid with no NaN point and none beyond ``limit``.
+    """Sorted nonempty grid with no NaN point and none beyond ``limit``.
 
     A NaN compares false with everything, so it would slip past the limit
     check and give a silently wrong count.
     """
     grid = sorted(grid)
+    if not grid:
+        raise InputError("grid needs at least one point")
     if any(math.isnan(L) for L in grid):
         raise InputError("grid has a NaN point")
-    if grid and grid[-1] > limit:
+    if grid[-1] > limit:
         raise InputError(f"grid reaches {grid[-1]} beyond {name} {limit}")
     return grid
 
@@ -201,24 +203,15 @@ def scc_classes(surface, limit: float):
             for slope, ell in _slope_lengths(surface, limit)]
 
 
-def _census_grid(limit: float, grid):
-    """Sorted grid, one point per unit of ``limit`` by default."""
-    if grid is None:
-        grid = make_grid(limit, max(1, int(limit)))
-    grid = _checked_grid(grid, limit, "limit")
-    if not grid:
-        raise InputError("grid needs at least one point")
-    return grid
-
-
-def scc_census(surface, limit: float, grid=None) -> CensusTable:
-    """Counts of simple closed geodesics up to each grid length."""
-    grid = _census_grid(limit, grid)
+def scc_census(surface, limit: float, grid=()) -> CensusTable:
+    """Counts of simple closed geodesics up to each grid length; an empty
+    grid, the default, is an InputError."""
     lengths = [ell for _, ell in _slope_lengths(surface, limit)]
+    grid = _checked_grid(grid, limit, "limit")
     return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid])
 
 
-def mlz_census(surface, limit: float, grid=None):
+def mlz_census(surface, limit: float, grid=()):
     """Integer-multicurve counts and their L^2-normalized ratios.
 
     On the punctured torus every integer simple multicurve is a positive
@@ -226,8 +219,8 @@ def mlz_census(surface, limit: float, grid=None):
     over the curve census.  The ratio column estimates the Thurston
     measure of the unit length ball.
     """
-    grid = _census_grid(limit, grid)
     lengths = [ell for _, ell in _slope_lengths(surface, limit)]
+    grid = _checked_grid(grid, limit, "limit")
     rows = []
     ratios = []
     for L in grid:

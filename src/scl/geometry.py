@@ -92,6 +92,8 @@ def validate(s: SurfaceStructure) -> list:
         return problems
     if s.cusps < 1:
         problems.append(f"cusps: need r >= 1, got {s.cusps}")
+    if 2 * s.genus - 2 + s.cusps <= 0:
+        problems.append(f"genus/cusps: ({s.genus}, {s.cusps}) has 2g - 2 + r <= 0, not hyperbolic")
     if (s.genus, s.cusps) == (0, 3):
         problems.append("genus/cusps: (0, 3) excluded, its mapping class group is finite")
     if n != 2 * s.genus + s.cusps - 1:

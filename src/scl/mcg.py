@@ -14,9 +14,10 @@ action keeps, and B is equivariant.  So the ball of a seed with nonzero
 boundary image is grown on the orbit of the multicurve B(seed), and only
 the members are lifted to subgroup classes: the fiber over t(mu) is t
 applied to the fiber over mu, and every fiber is a copy of the seed's.
-One breadth-first routine walks both levels.  For a cyclic seed c <r^m>
-the fiber over the curve mu = t(r) is the one class c <mu^m>, keyed
-straight from the cycle of mu's canonical letters with no twist action.
+One breadth-first routine walks both levels, and one loop pushes fibers
+down the curve walk's tree.  For a cyclic seed c <r^m> its push rule gives
+the curve mu = t(r) the one class c <mu^m>, keyed straight from the cycle
+of mu's canonical letters with no twist action.
 
 The curve walk keeps its nodes as sorted tuples of ``(letters, i)``
 components, ``i`` indexing the seed's distinct weights, so dedup hashes
@@ -36,7 +37,7 @@ from time import perf_counter
 
 from . import currents, geometry, graphs, words
 from .currents import Multicurve, RationalSubsetCurrent
-from .errors import ConfigError, InputError, ResourceLimitError
+from .errors import ConfigError, InputError, InternalConsistencyError, ResourceLimitError
 from .graphs import SubgroupClass
 
 DEFAULT_BALL_CAP = 1_000_000
@@ -133,8 +134,7 @@ class OrbitBall:
     verbatim by the elements of one fiber; members of the ball proper are
     the keys with value at most ``cutoff``.  A ball grown on the boundary
     multicurve holds the lifted members and their breadth-first ancestors,
-    not every element seen, and for a cyclic seed (one term of rank 1) it
-    holds the members only; a ball grown on subgroup classes (zero
+    not every element seen; a ball grown on subgroup classes (zero
     boundary image, or a seed valued at least ``cutoff``) holds every
     element seen.  A cap hit's partial holds the lift of every multicurve
     seen.
@@ -240,8 +240,7 @@ class _Orbit:
         for t, inv in zip(self.twists, self.inverse):
             if inv is None:
                 raise InputError(f"twist {t.label!r} has no inverse in the twist list")
-        self.registry = {}   # class key -> the one SubgroupClass kept for it
-        self.act_cache = {}  # (twist index, class key) -> image SubgroupClass
+        self.act_cache = {}  # (twist index, class key) -> image class key
         self.actions = self.cache_hits = 0
         self.seconds = dict.fromkeys(("subgroup_walk_s", "curve_walk_s", "lift_s"), 0.0)
 
@@ -251,8 +250,7 @@ class _Orbit:
             term_source = tuple((h, Fraction(w)) for h, w in seed)
             seed = RationalSubsetCurrent.from_terms(term_source)
         self.seed = seed
-        self.seed_key = self.canon(
-            (self.registry.setdefault(h.key, h), Fraction(w)) for h, w in term_source)
+        self.seed_key = self.canon((h.key, Fraction(w)) for h, w in term_source)
         self.seed_record = self.evaluate(self.seed_key)
         value, b_key = self.seed_record
         if not functional[0] and b_key and value <= margin * L:
@@ -261,11 +259,12 @@ class _Orbit:
                 "<= margin * L, so the ball would be the whole infinite orbit")
 
     def canon(self, term_pairs):
+        """The element key of ``(class key, weight)`` pairs."""
         if self.mode == "J":
-            return tuple((h.key, w) for h, w in term_pairs)
+            return tuple(term_pairs)
         acc = {}
-        for h, w in term_pairs:
-            acc[h.key] = acc.get(h.key, 0) + w
+        for k, w in term_pairs:
+            acc[k] = acc.get(k, 0) + w
         return tuple(sorted(acc.items()))
 
     def act(self, t_idx, key):
@@ -274,11 +273,10 @@ class _Orbit:
         for cls_key, w in key:
             img = self.act_cache.get((t_idx, cls_key))
             if img is None:
-                h = self.registry[cls_key]
-                img = act_on_subgroup(self.twists[t_idx], h, self.surface)
-                img = self.registry.setdefault(img.key, img)
+                img = act_on_subgroup(
+                    self.twists[t_idx], SubgroupClass(cls_key), self.surface).key
                 self.act_cache[(t_idx, cls_key)] = img
-                self.act_cache.setdefault((self.inverse[t_idx], img.key), h)
+                self.act_cache.setdefault((self.inverse[t_idx], img), cls_key)
                 self.actions += 1
             else:
                 self.cache_hits += 1
@@ -287,7 +285,7 @@ class _Orbit:
 
     def evaluate(self, key):
         return currents.evaluate(
-            self.functional, [(self.registry[k], w) for k, w in key], self.surface)
+            self.functional, [(SubgroupClass(k), w) for k, w in key], self.surface)
 
     def walk(self, cutoff):
         """The subgroup-level walk of a ball with this cutoff, timed."""
@@ -335,32 +333,55 @@ class _Orbit:
 
         F0, the fiber over B(seed), is read off the subgroup-level walk at
         cutoff v0, the seed's value.  A complete walk lifts the members
-        only; a cap hit lifts every multicurve seen, so the partial holds
-        more than ``cap`` elements.
+        and their tree ancestors; a cap hit lifts every multicurve seen, so
+        the partial holds more than ``cap`` elements.
         """
         v0, b0 = self.seed_record
         found, _, complete = self.walk(v0)
         if not complete:
             return self.finish(found, False, self.subgroup_stats(found))
         fiber0 = [k for k, (_, b) in found.items() if b == b0]
+        push = self.push_rule(len(fiber0))
         curves, tree, complete, weights = self.curve_walk(len(fiber0))
         start = perf_counter()
         kept = [mu for mu, (value,) in curves.items() if not complete or value <= self.L]
-        (cls_key, _), *rest = self.seed_key
-        if rest or self.registry[cls_key].rank != 1:
-            elements = self.lift(curves, kept, tree, {k: found[k] for k in fiber0}, weights)
-        else:
-            elements = self.cyclic_lift(curves, kept, weights)
+        elements = self.lift(curves, kept, tree, {k: found[k] for k in fiber0}, weights, push)
         self.seconds["lift_s"] = perf_counter() - start
         stats = {**self.counts([v for v, in curves.values()], len(fiber0)),
                  "curves_seen": len(curves), "fiber_size": len(fiber0)}
         return self.finish(elements, complete, stats)
 
-    def lift(self, curves, kept, tree, fiber0, weights):
+    def push_rule(self, fiber_size):
+        """The lift's rule ``push(fiber, t_idx, node)``: the fiber over the
+        tree child ``node``, reached by twist ``t_idx``, from its parent's.
+
+        In general fiber(t(mu)) = t(fiber(mu)).  For a seed c <r^m> (one
+        term of rank 1) every node is one curve mu = t(r), and the one
+        element over it is c <mu^m>: the rule keys the cycle of mu's
+        letters repeated m times, with no twist action and no fold.
+        """
+        (cls_key, c), *rest = self.seed_key
+        if rest or SubgroupClass(cls_key).rank != 1:
+            return lambda fiber, t_idx, _: [self.act(t_idx, k) for k in fiber]
+        # t(c <r^m>) lies over c m t(r), which is B(seed) only when t fixes r
+        if fiber_size != 1:
+            raise InternalConsistencyError(
+                f"a cyclic seed has {fiber_size} elements over its boundary image, not 1")
+        ((root, _),) = self.seed_record[1]
+        m, surface = graphs.from_key(cls_key).vertex_count // len(root), self.surface
+
+        def push(fiber, t_idx, node):
+            ((letters, _),) = node
+            word = letters * m  # canonical, as the m-th power of a canonical word
+            graphs.check_not_peripheral(words.ConjClass(word), surface)
+            return [((graphs.canonical_key(graphs.cycle(word, surface.rank)), c),)]
+        return push
+
+    def lift(self, curves, kept, tree, fiber0, weights, push):
         """The fibers over the ``kept`` nodes of the curve walk, pushed
-        along its breadth-first tree from F0 (``fiber0``, the elements
-        over its first node, B(seed)): fiber(t(mu)) = t(fiber(mu)).  The
-        result also holds the lifted ancestors."""
+        along its breadth-first tree by ``push`` from F0 (``fiber0``, the
+        elements over its first node, B(seed)).  The result also holds the
+        lifted ancestors."""
         elements = dict(fiber0)
         fibers = {next(iter(curves)): list(fiber0)}
         for mu in kept:
@@ -370,31 +391,9 @@ class _Orbit:
                 mu = tree[mu][0]
             for nu in reversed(path):
                 parent, t_idx = tree[nu]
-                fibers[nu] = [self.act(t_idx, k) for k in fibers[parent]]
+                fibers[nu] = push(fibers[parent], t_idx, nu)
                 b_key = tuple((letters, weights[i]) for letters, i in nu)
                 elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], b_key)))
-        return elements
-
-    def cyclic_lift(self, curves, kept, weights):
-        """The members over the ``kept`` nodes of the curve walk of a seed
-        c <r^m>, read off the nodes' letters.
-
-        B(seed) is the one curve r with weight c m, so every node is one
-        curve, the class of t(r) for the mapping class t that reached it,
-        and the one element over it is c <t(r)^m>, whose core graph is the
-        cycle of its letters repeated m times: no twist action, no fold.
-        """
-        ((cls_key, c),) = self.seed_key
-        ((root, _),) = next(iter(curves))
-        m = graphs.from_key(cls_key).vertex_count // len(root)
-        surface = self.surface
-        elements = {}
-        for mu in kept:
-            ((letters, i),) = mu
-            word = letters * m  # canonical, as the m-th power of a canonical word
-            graphs.check_not_peripheral(words.ConjClass(word), surface)
-            h = SubgroupClass(graphs.canonical_key(graphs.cycle(word, surface.rank)))
-            elements[self.canon([(h, c)])] = (curves[mu][0], ((letters, weights[i]),))
         return elements
 
     def curve_walk(self, fiber_size):
@@ -411,8 +410,8 @@ class _Orbit:
         """
         start = perf_counter()
         surface, twists = self.surface, self.twists
-        mu0 = currents.boundary_projection(self.seed, surface)
-        weights = sorted({w for _, w in mu0.items})
+        b0 = self.seed_record[1]
+        weights = sorted({w for _, w in b0})
         float_weights = [float(w) for w in weights]
         area = currents.area(self.seed)[0]
         tables = ([geometry._twisted_pairs(t.images, surface) for t in twists]
@@ -434,7 +433,7 @@ class _Orbit:
                  for (letters, i), t in zip(node, traces)), surface)
             return (currents._value(self.functional, length, area),)
 
-        node0 = tuple((c.letters, weights.index(w)) for c, w in mu0.items)
+        node0 = tuple((letters, weights.index(w)) for letters, w in b0)
         found = _walk(node0, act, record, self.margin * self.L,
                       self.cap // fiber_size, self.inverse)
         self.seconds["curve_walk_s"] = perf_counter() - start

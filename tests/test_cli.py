@@ -257,6 +257,16 @@ def test_surface_file(tmp_path, capsys):
         assert (bad, code, out) == (bad, 2, "")
 
 
+def test_surface_file_rejects_the_annulus(tmp_path, capsys):
+    # rank and ribbon check out, but 2g - 2 + r = 0: no hyperbolic structure
+    config = {"genus": 0, "cusps": 2, "ribbon_order": ["a+", "a-"],
+              "peripherals": ["a", "A"], "matrices": {"a": [[1, 1], [0, 1]]}}
+    path = tmp_path / "annulus.json"
+    path.write_text(json.dumps(config))
+    code, _ = run_cli(capsys, "--surface", str(path), "length", "--word", "a")
+    assert code == 3
+
+
 def test_cli_output_is_byte_stable(capsys):
     """``--no-meta`` stdout and exit codes of the README examples and three
     more commands, recorded in ``data/cli_golden.json``.  Regenerate that

@@ -43,6 +43,17 @@ def test_validation_excludes_thrice_punctured_sphere(torus):
     assert any("(0, 3)" in p for p in geometry.validate(sphere))
 
 
+def test_validation_excludes_the_annulus():
+    # rank 1 = 2g + r - 1 and the ribbon closes up, but 2g - 2 + r = 0
+    annulus = geometry.surface_from_dict({
+        "genus": 0, "cusps": 2, "ribbon_order": ["a+", "a-"], "peripherals": ["a", "A"],
+        "matrices": {"a": [[1, 1], [0, 1]]}})
+    problems = geometry.validate(annulus)
+    assert problems and all(p.startswith("genus/cusps:") for p in problems)
+    with pytest.raises(ConfigError, match="genus/cusps"):
+        geometry.validated(annulus)
+
+
 def test_traces(torus):
     assert geometry.holonomy_trace(W("a"), torus) == 3
     assert geometry.holonomy_trace(W("b"), torus) == 3

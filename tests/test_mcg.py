@@ -12,6 +12,7 @@ from scl import currents, geometry, graphs, mcg, words
 from scl.errors import (
     ConfigError,
     InputError,
+    InternalConsistencyError,
     PeripheralSubgroupError,
     ResourceLimitError,
 )
@@ -376,6 +377,16 @@ def test_cyclic_ball_acts_only_to_find_the_seed_fiber(torus, text, L):
     assert set(ball.elements) == {k for k, _, _ in ball.members()}
 
 
+def test_cyclic_push_rule_needs_the_seed_alone_over_its_curve(torus):
+    # t(c <r^m>) lies over c m t(r), which is B(seed) only when t fixes r,
+    # so any other fiber size for a cyclic seed is a bug, not a bigger fiber
+    orbit = mcg._Orbit(seed_of(torus, "a"), (1, 0), 8.0, 1.5, surface=torus, twists=None,
+                       cap=None, mode="eta")
+    assert callable(orbit.push_rule(1))
+    with pytest.raises(InternalConsistencyError):
+        orbit.push_rule(2)
+
+
 def test_cyclic_ball_pins_the_curve_ball_at_60(torus):
     ball = mcg.orbit_ball(seed_of(torus, "a"), (1, 0), 60.0, 1.5, surface=torus)
     digest = hashlib.sha256(repr((ball.members(), ball.frontier_exhausted)).encode())
@@ -383,6 +394,45 @@ def test_cyclic_ball_pins_the_curve_ball_at_60(torus):
         "d591e2b4ca6ebaf5890bf5f5d3318ebd2ee2bf23bce579861682f4347c704df6"
     counts = tuple(ball.stats[name] for name in ("seen", "explored", "members"))
     assert counts == (4404, 2202, 984)
+
+
+# (seed, L, cap) -> sha256 of the sorted partial elements and frontier flag,
+# and its (seen, explored, members, curves_seen, fiber_size)
+CAP_HIT_PARTIALS = {
+    ("1:a", 6.0, 4): ("28f23b611945e3578ffe47e26f7c46b3527de0105172380ca8b76decf942a6c7",
+                      (5, 5, 5, 5, 1)),
+    ("1:a", 24.0, 10): ("37f5c3f0b2dafa63db3da82902c20e0610b3637dfbd5c7ba9f0a6ec1cbdbe5de",
+                        (11, 11, 11, 11, 1)),
+    ("1:a", 24.0, 57): ("12beccee4ca2424121bfdc85cd738a2b9ef865008f5cf5cd8ae17b95cb21f94f",
+                        (58, 58, 58, 58, 1)),
+    ("1:a", 24.0, 300): ("b489fd463aa9a7d661781b846448ce4f07cbc91cd9acaf18d929382408244aed",
+                         (301, 226, 134, 301, 1)),
+    ("1:aa", 30.0, 57): ("e124a4388bf95e64de870d5f2c50b5d2b29b0353589558722bae0fcf1b2987b1",
+                         (58, 57, 49, 58, 1)),
+    ("5/3:aab", 24.0, 57): ("a31bbaa3323bede290299bbb1015e313a106ca5721f51fb2ce2a9b46284369d3",
+                            (58, 57, 43, 58, 1)),
+    ("1:aa,b", 30.0, 3): ("2d381fb8444cd9efd5501618d556fc6984514bf9654a4312f6e2b8a6cd11467f",
+                          (4, 4, 4, 3, 2)),
+    ("1:aa,b", 30.0, 40): ("40bfd704e871f0a26566192a8e3fd406188d9f927960625ada43fd6c13d7f08a",
+                           (42, 42, 42, 21, 2)),
+    ("1:aa,b", 30.0, 300): ("9a77c39fe778c953cee2c4b1032690d681306ba81a8a374d3939c7db88896dca",
+                            (302, 302, 256, 151, 2)),
+}
+
+
+@pytest.mark.parametrize("text, L, cap", list(CAP_HIT_PARTIALS))
+def test_cap_hit_partials_are_pinned(torus, text, L, cap):
+    # a cap hit in the curve walk lifts every curve seen, not only the
+    # members, so the lift runs over every node of the walk's tree
+    with pytest.raises(ResourceLimitError) as info:
+        mcg.orbit_ball(currents.parse_current(text, torus), (1, 0), L, 1.5,
+                       surface=torus, cap=cap)
+    partial = info.value.partial
+    digest = hashlib.sha256(
+        repr((sorted(partial.elements.items()), partial.frontier_exhausted)).encode())
+    names = ("seen", "explored", "members", "curves_seen", "fiber_size")
+    assert (digest.hexdigest(), tuple(partial.stats[n] for n in names)) == \
+        CAP_HIT_PARTIALS[text, L, cap]
 
 
 def test_orbit_ball_stats_record_cap_cache_hits_and_seconds(torus):
@@ -458,10 +508,28 @@ def test_curve_walk_pins_the_aab_ball_at_50(torus):
     assert counts == (5880, 2940, 1284)
 
 
-@pytest.mark.parametrize("text, L", [("1:a", 16.0), ("1:aa,b;1/2:a", 20.0)])
+@pytest.mark.parametrize("text, L", [
+    ("1:a", 16.0), ("1:aa,b;1/2:a", 20.0), ("1:aa,b", 20.0), ("1:a", 8.0), ("1:a", 24.0),
+    ("1:aab", 24.0), ("1:aabb", 24.0), ("1:aaBAbb", 7.5), ("1:aaBAbb", 8.5), ("1:aaBAbb", 12.0),
+])
 def test_orbit_ball_members_are_margin_stable(torus, text, L):
     seed = currents.parse_current(text, torus)
     narrow = mcg.orbit_ball(seed, (1, 0), L, 1.5, surface=torus)
     wide = mcg.orbit_ball(seed, (1, 0), L, 3.0, surface=torus)
     assert narrow.frontier_exhausted and wide.frontier_exhausted
     assert narrow.members() == wide.members()
+    # every boundary image in the ball has a twist image of strictly smaller
+    # value or the ball's least value, so each member descends to a minimum
+    # through values <= L; 1:aaBAbb has six minima, no two of them adjacent
+    area = currents.area(seed)[0]
+    values = {b: v for _, v, b in wide.members()}
+    least = min(values.values())
+    minima = 0
+    for b_key, value in values.items():
+        mc = currents.Multicurve(items=tuple((words.ConjClass(c), w) for c, w in b_key))
+        below = [currents.functional_value((1, 0), mcg.act_on_multicurve(t, mc), area, torus)
+                 < value for t in mcg.twist_generators(torus)]
+        if not any(below):
+            assert value == least, b_key
+            minima += 1
+    assert minima == (6 if text == "1:aaBAbb" else 3)
