@@ -203,15 +203,15 @@ def scc_classes(surface, limit: float):
             for slope, ell in _slope_lengths(surface, limit)]
 
 
-def scc_census(surface, limit: float, grid=()) -> CensusTable:
+def scc_census(surface, limit: float, grid) -> CensusTable:
     """Counts of simple closed geodesics up to each grid length; an empty
-    grid, the default, is an InputError."""
+    grid is an InputError."""
     lengths = [ell for _, ell in _slope_lengths(surface, limit)]
     grid = _checked_grid(grid, limit, "limit")
     return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid])
 
 
-def mlz_census(surface, limit: float, grid=()):
+def mlz_census(surface, limit: float, grid):
     """Integer-multicurve counts and their L^2-normalized ratios.
 
     On the punctured torus every integer simple multicurve is a positive

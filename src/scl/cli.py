@@ -14,20 +14,9 @@ import datetime
 import json
 import string
 import sys
-from dataclasses import dataclass
 
 from . import census, currents, geometry, graphs, mcg, words
 from .errors import ConfigError, InputError, ResourceLimitError, SclError
-
-
-@dataclass
-class RunConfig:
-    surface: geometry.SurfaceStructure
-    subcommand: str
-    out: str | None
-    no_meta: bool
-    max_ball: int | None
-    max_index: int
 
 
 def _letter(lab: int) -> str:
@@ -51,45 +40,50 @@ def _graph_payload(g: graphs.CoreGraph) -> dict:
     }
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, payload: dict) -> None:
-    if not cfg.no_meta:
-        payload = {"meta": {
-            "surface": cfg.surface.name,
-            "command": cfg.subcommand,
-            "generated": datetime.datetime.now().isoformat(timespec="seconds"),
-        }, **payload}
-    _emit(cfg, json.dumps(payload, indent=2) + "\n")
+def _meta(args) -> dict:
+    """How the output was made: the JSON ``meta`` and the CSV ``#`` header."""
+    return {
+        "surface": args.surface.name,
+        "command": args.subcommand,
+        "generated": datetime.datetime.now().isoformat(timespec="seconds"),
+    }
 
 
-def _emit_csv(cfg: RunConfig, header, rows) -> None:
+def _emit_json(args, payload: dict) -> None:
+    if not args.no_meta:
+        payload = {"meta": _meta(args), **payload}
+    _emit(args, json.dumps(payload, indent=2) + "\n")
+
+
+def _emit_csv(args, header, rows) -> None:
     lines = []
-    if not cfg.no_meta:
-        stamp = datetime.datetime.now().isoformat(timespec="seconds")
-        lines.append(f"# scl {cfg.subcommand} surface={cfg.surface.name} generated={stamp}")
+    if not args.no_meta:
+        lines.append("# scl {command} surface={surface} generated={generated}"
+                     .format(**_meta(args)))
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(str(x) for x in row))
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
 
 
-def _cmd_fold(cfg, args):
-    g = graphs.fold(_parse_gens(args.gens), rank=cfg.surface.rank)
-    _emit_json(cfg, _graph_payload(g))
+def _cmd_fold(args):
+    g = graphs.fold(_parse_gens(args.gens), rank=args.surface.rank)
+    _emit_json(args, _graph_payload(g))
     return 0
 
 
-def _cmd_boundary(cfg, args):
-    h = graphs.subgroup_class(_parse_gens(args.gens), surface=cfg.surface)
-    report = currents.boundary_report(h, cfg.surface)
-    _emit_json(cfg, {
+def _cmd_boundary(args):
+    h = graphs.subgroup_class(_parse_gens(args.gens), surface=args.surface)
+    report = currents.boundary_report(h, args.surface)
+    _emit_json(args, {
         "cycles": [{"class": str(c), "kind": kind, "power": power}
                    for c, kind, power in report.cycles],
         "euler_char": report.euler_char,
@@ -98,91 +92,90 @@ def _cmd_boundary(cfg, args):
     return 0
 
 
-def _cmd_area(cfg, args):
-    eta = currents.parse_current(args.current, cfg.surface)
+def _cmd_area(args):
+    eta = currents.parse_current(args.current, args.surface)
     value, chi = currents.area(eta)
-    _emit_json(cfg, {"area": value, "chi": str(chi)})
+    _emit_json(args, {"area": value, "chi": str(chi)})
     return 0
 
 
-def _cmd_length(cfg, args):
+def _cmd_length(args):
     if (args.word is None) == (args.current is None):
         raise InputError("length takes exactly one of --word or --current")
     if args.word is not None:
         w = words.word_from_str(args.word)
         c = words.conj_class(w)
-        kind = geometry.classify(w, cfg.surface)
+        kind = geometry.classify(w, args.surface)
         payload = {
             "word": args.word,
             "class": str(c),
-            "trace": geometry.holonomy_trace(w, cfg.surface),
+            "trace": geometry.holonomy_trace(w, args.surface),
             "type": kind,
         }
         if kind == "hyperbolic":
-            payload["length"] = geometry.geodesic_length(c, cfg.surface)
-        _emit_json(cfg, payload)
+            payload["length"] = geometry.geodesic_length(c, args.surface)
+        _emit_json(args, payload)
     else:
-        eta = currents.parse_current(args.current, cfg.surface)
-        b = currents.boundary_projection(eta, cfg.surface)
-        _emit_json(cfg, {
-            "lsc": currents.length_sc(eta, cfg.surface),
+        eta = currents.parse_current(args.current, args.surface)
+        b = currents.boundary_projection(eta, args.surface)
+        _emit_json(args, {
+            "lsc": currents.length_sc(eta, args.surface),
             "boundary": currents.multicurve_payload(b),
         })
     return 0
 
 
-def _cmd_orbit_count(cfg, args):
-    eta = currents.parse_current(args.seed, cfg.surface)
+def _orbit_ball(args, **options):
+    """The orbit ball of ``--seed``.  On a cap hit it is the partial ball,
+    not frontier-exhausted, and the cap is reported on stderr."""
+    eta = currents.parse_current(args.seed, args.surface)
     spec = currents.parse_functional(args.functional)
-    grid = census.make_grid(args.L, args.grid)
     try:
-        ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
-                              surface=cfg.surface, cap=cfg.max_ball, mode=args.mode)
+        return mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
+                              surface=args.surface, cap=args.max_ball, **options)
     except ResourceLimitError as exc:
         print(f"scl: resource cap: {exc}", file=sys.stderr)
-        ball = exc.partial
+        return exc.partial
+
+
+def _cmd_orbit_count(args):
+    grid = census.make_grid(args.L, args.grid)
+    ball = _orbit_ball(args, mode=args.mode)
     table = census.count_by_length(ball, grid)
     rows = [(L, n, ball.frontier_exhausted) for L, n in table.rows]
-    _emit_csv(cfg, ("L", "count", "frontier_exhausted"), rows)
+    _emit_csv(args, ("L", "count", "frontier_exhausted"), rows)
     return 0 if ball.frontier_exhausted else 4
 
 
-def _cmd_scc_count(cfg, args):
-    table = census.scc_census(cfg.surface, args.L, census.make_grid(args.L, args.grid))
-    _emit_csv(cfg, ("L", "count"), table.rows)
+def _cmd_scc_count(args):
+    table = census.scc_census(args.surface, args.L, census.make_grid(args.L, args.grid))
+    _emit_csv(args, ("L", "count"), table.rows)
     return 0
 
 
-def _cmd_mlz_count(cfg, args):
-    table, _ = census.mlz_census(cfg.surface, args.L, census.make_grid(args.L, args.grid))
-    _emit_csv(cfg, ("L", "count"), table.rows)
+def _cmd_mlz_count(args):
+    table, _ = census.mlz_census(args.surface, args.L, census.make_grid(args.L, args.grid))
+    _emit_csv(args, ("L", "count"), table.rows)
     return 0
 
 
-def _cmd_fibers(cfg, args):
-    eta = currents.parse_current(args.seed, cfg.surface)
-    spec = currents.parse_functional(args.functional)
-    try:
-        ball = mcg.orbit_ball(eta, spec, args.L, margin=args.margin,
-                              surface=cfg.surface, cap=cfg.max_ball)
-    except ResourceLimitError as exc:
-        _emit_json(cfg, {"L": args.L, "ball_size": exc.partial.count_leq(args.L),
-                         "frontier_exhausted": False})
-        raise
-    hist = census.fiber_histogram(ball)
-    _emit_json(cfg, {
-        "L": args.L,
-        "ball_size": ball.count_leq(args.L),
-        "histogram": {str(size): n for size, n in sorted(hist.items())},
-    })
-    return 0
+def _cmd_fibers(args):
+    ball = _orbit_ball(args)
+    payload = {"L": args.L, "ball_size": ball.count_leq(args.L)}
+    if ball.frontier_exhausted:
+        hist = census.fiber_histogram(ball)
+        payload["histogram"] = {str(size): n for size, n in sorted(hist.items())}
+    else:
+        payload["frontier_exhausted"] = False
+    _emit_json(args, payload)
+    return 0 if ball.frontier_exhausted else 4
 
 
-def _cmd_low_index(cfg, args):
+def _cmd_low_index(args):
     if not 1 <= args.rank <= len(string.ascii_lowercase):
         raise InputError(f"--rank must be 1..26 (one letter per generator), got {args.rank}")
-    covers = graphs.subgroups_of_index(args.rank, args.k, cap=cfg.max_index)
-    _emit_json(cfg, {
+    covers = graphs.subgroups_of_index(args.rank, args.k, cap=args.max_index)
+    _emit_json(args, {
         "rank": args.rank,
         "k": args.k,
         "count": len(covers),
@@ -217,9 +210,9 @@ def verify_example(surface):
     return all(checks.values()), checks
 
 
-def _cmd_verify_example(cfg, args):
-    ok, checks = verify_example(cfg.surface)
-    _emit_json(cfg, {"ok": ok, "checks": checks})
+def _cmd_verify_example(args):
+    ok, checks = verify_example(args.surface)
+    _emit_json(args, {"ok": ok, "checks": checks})
     return 0 if ok else 1
 
 
@@ -290,21 +283,18 @@ def _build_parser():
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        # from here on ``args.surface`` is the loaded surface, not its file name
         if args.surface:
-            surface = geometry.validated(geometry.surface_from_file(args.surface))
+            args.surface = geometry.validated(geometry.surface_from_file(args.surface))
         else:
-            surface = geometry.modular_torus()
-        cfg = RunConfig(surface=surface, subcommand=args.subcommand, out=args.out,
-                        no_meta=args.no_meta, max_ball=args.max_ball,
-                        max_index=args.max_index)
-        if cfg.max_ball is not None and cfg.max_ball <= 0:
+            args.surface = geometry.modular_torus()
+        if args.max_ball is not None and args.max_ball <= 0:
             raise InputError("--max-ball must be positive")
-        if cfg.max_index <= 0:
+        if args.max_index <= 0:
             raise InputError("--max-index must be positive")
-        return args.fn(cfg, args)
+        return args.fn(args)
     except ConfigError as exc:
         print(f"scl: surface validation error: {exc}", file=sys.stderr)
         return 3

@@ -78,10 +78,10 @@ def check_multicurve(mc: Multicurve, surface) -> None:
     for c, w in mc.items:
         if words.conj_class(c.letters) != c:
             raise InputError(f"class {c} is not in canonical form")
-        _, mult = words.primitive_root(c)
+        root, mult = words.primitive_root(c)
         if mult != 1:
             raise InputError(f"class {c} is a proper power; fold it into its root")
-        if words.is_peripheral(c, surface)[0]:
+        if words.is_peripheral(root, mult, surface)[0]:
             raise InputError(f"class {c} is peripheral; not a geodesic class")
 
 
@@ -115,7 +115,7 @@ class RationalSubsetCurrent:
 
 
 def boundary_report(h: SubgroupClass, surface) -> ribbon.BoundaryReport:
-    return ribbon.classify_boundary(graphs.from_key(h.key), surface.ribbon_order, surface)
+    return ribbon.classify_boundary(graphs.from_key(h.key), surface)
 
 
 @lru_cache(maxsize=None)

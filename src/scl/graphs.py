@@ -27,7 +27,7 @@ class CoreGraph:
     """Labeled directed graph over a rank-n alphabet.
 
     ``edges`` is a tuple of ``(src, dst, label)`` with labels in ``[0, n)``.
-    Plain immutable data: derived forms (neighbor tables, the canonical
+    Plain immutable data: derived forms (the neighbor table, the canonical
     key) are computed where they are needed, never cached on the graph.
     """
 
@@ -49,14 +49,18 @@ class CoreGraph:
                 f"rank={self.rank}, basepoint={self.basepoint})")
 
 
-def _tables(g: CoreGraph):
-    """Neighbor maps ``v -> w``, two per label: ``tables[2 * lab]``
-    follows the edge forward, ``tables[2 * lab + 1]`` backward."""
-    tables = [dict() for _ in range(2 * g.rank)]
+def _rows(g: CoreGraph):
+    """The one neighbor table: per vertex a list of 2 * rank slots, slot
+    ``2 * lab`` following its label-``lab`` edge forward and ``2 * lab + 1``
+    backward (-1 where there is none), and the bitmask of those slots."""
+    rows = [[-1] * (2 * g.rank) for _ in range(g.vertex_count)]
+    masks = [0] * g.vertex_count
     for u, v, lab in g.edges:
-        tables[2 * lab][u] = v
-        tables[2 * lab + 1][v] = u
-    return tables
+        rows[u][2 * lab] = v
+        rows[v][2 * lab + 1] = u
+        masks[u] |= 1 << 2 * lab
+        masks[v] |= 2 << 2 * lab
+    return rows, masks
 
 
 def _find(parent, x):
@@ -222,12 +226,12 @@ def contains(g: CoreGraph, w) -> bool:
     """Membership: does ``w`` trace a closed path at the basepoint?"""
     w = words.reduce(w)
     words.check_rank(w, g.rank)
-    tables = _tables(g)
+    rows, _ = _rows(g)
     base = g.basepoint if g.basepoint is not None else 0
     v = base
     for l in w:
-        v = tables[2 * l - 2 if l > 0 else -2 * l - 1].get(v)
-        if v is None:
+        v = rows[v][2 * l - 2 if l > 0 else -2 * l - 1]
+        if v < 0:
             return False
     return v == base
 
@@ -258,13 +262,7 @@ def canonical_key(g: CoreGraph) -> bytes:
     Once one start is left, its encoding is finished without comparing.
     """
     n, slots = g.vertex_count, 2 * g.rank
-    rows = [[-1] * slots for _ in range(n)]
-    masks = [0] * n
-    for u, v, lab in g.edges:
-        rows[u][2 * lab] = v
-        rows[v][2 * lab + 1] = u
-        masks[u] |= 1 << 2 * lab
-        masks[v] |= 2 << 2 * lab
+    rows, masks = _rows(g)
     best = max(set(masks), key=lambda m: (
         m.bit_count(), [t for t in range(slots) if m >> t & 1]))
     runs = []
@@ -327,22 +325,17 @@ def _spanning_tree(g: CoreGraph):
     ``(src, dst, label)`` triples, which name an edge of a folded graph.
     """
     base = g.basepoint if g.basepoint is not None else 0
-    tables = _tables(g)
+    rows, _ = _rows(g)
     parent = {base: None}
     order = [base]
     tree = set()
     for v in order:
-        for lab in range(g.rank):
-            w = tables[2 * lab].get(v)
-            if w is not None and w not in parent:
-                parent[w] = (v, lab + 1)
+        for t, w in enumerate(rows[v]):
+            if w >= 0 and w not in parent:
+                lab = t >> 1
+                parent[w] = (v, -(lab + 1) if t & 1 else lab + 1)
                 order.append(w)
-                tree.add((v, w, lab))
-            w = tables[2 * lab + 1].get(v)
-            if w is not None and w not in parent:
-                parent[w] = (v, -(lab + 1))
-                order.append(w)
-                tree.add((w, v, lab))
+                tree.add((w, v, lab) if t & 1 else (v, w, lab))
     return parent, tree
 
 
@@ -408,7 +401,7 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
 def check_not_peripheral(c: words.ConjClass, surface) -> None:
     """Raise unless the cyclic subgroup generated by ``c`` is in the
     subgroup universe: a peripheral root has a single-point limit set."""
-    if words.is_peripheral(c, surface)[0]:
+    if words.is_peripheral(*words.primitive_root(c), surface)[0]:
         raise PeripheralSubgroupError(
             "cyclic subgroup with peripheral root is outside the subgroup universe"
         )

@@ -59,7 +59,7 @@ def mapping_class(images, surface, label="") -> words.Automorphism:
     phi = words.Automorphism(images=images, label=label)
     for p in surface.peripheral_words:
         img = words.conj_class(words.apply(phi, p))
-        peripheral, power = words.is_peripheral(img, surface)
+        peripheral, power = words.is_peripheral(*words.primitive_root(img), surface)
         if not peripheral or power != 1:
             raise InputError("automorphism does not preserve the cusp set")
     return phi

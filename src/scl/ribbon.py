@@ -117,15 +117,14 @@ class BoundaryReport:
         return tuple(c for c in self.cycles if c[1] == "cusp")
 
 
-def classify_boundary(g, sigma, surface) -> BoundaryReport:
-    """Boundary cycles with cusp/geodesic kinds, Euler characteristic and
-    genus of the thickened surface."""
-    raw = boundary_cycles(g, sigma)
+def classify_boundary(g, surface) -> BoundaryReport:
+    """Boundary cycles under ``surface.ribbon_order`` with cusp/geodesic
+    kinds, Euler characteristic and genus of the thickened surface."""
+    raw = boundary_cycles(g, surface.ribbon_order)
     entries = []
     for cyc in raw:
-        c = words.conj_class(cyc)
-        root, mult = words.primitive_root(c)
-        peripheral, _ = words.is_peripheral(c, surface)
+        root, mult = words.primitive_root(words.conj_class(cyc))
+        peripheral, _ = words.is_peripheral(root, mult, surface)
         entries.append((root, "cusp" if peripheral else "geodesic", mult))
     chi = g.vertex_count - len(g.edges)
     b = len(raw)

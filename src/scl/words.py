@@ -198,15 +198,15 @@ def identity_automorphism(rank: int) -> Automorphism:
     return Automorphism(images=tuple((i + 1,) for i in range(rank)), label="")
 
 
-def is_peripheral(c: ConjClass, surface):
-    """Whether ``c`` is a power of a peripheral class of ``surface``.
+def is_peripheral(root: ConjClass, mult: int, surface):
+    """Whether ``root^mult`` is a power of a peripheral class of ``surface``.
 
-    Decided combinatorially: ``c`` equals ``class(p^m)`` for a peripheral
-    word ``p`` iff their primitive roots agree and the multiplicities divide.
-    Returns ``(True, m)`` or ``(False, None)``.
+    Takes the split ``(root, mult)`` that :func:`primitive_root` returns.
+    Decided combinatorially: ``root^mult`` equals ``class(p^m)`` for a
+    peripheral word ``p`` iff their primitive roots agree and the
+    multiplicities divide.  Returns ``(True, m)`` or ``(False, None)``.
     """
-    root_c, mult_c = primitive_root(c)
     for p_root, p_mult in surface.peripheral_roots:
-        if root_c == p_root and mult_c % p_mult == 0:
-            return True, mult_c // p_mult
+        if root == p_root and mult % p_mult == 0:
+            return True, mult // p_mult
     return False, None

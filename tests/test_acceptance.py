@@ -57,7 +57,7 @@ def test_criterion_02_ribbon_sanity(torus):
         g = graphs.from_key(h.key)
         cycles = ribbon.boundary_cycles(g, torus.ribbon_order)
         assert sum(len(c) for c in cycles) == 2 * len(g.edges)
-        rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
+        rep = ribbon.classify_boundary(g, torus)
         assert rep.genus >= 0
         if h.rank == 1:
             n_cyclic += 1
@@ -68,7 +68,7 @@ def test_criterion_02_ribbon_sanity(torus):
     for k in (1, 2, 3, 4):
         for g in graphs.subgroups_of_index(2, k):
             n_covers += 1
-            rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
+            rep = ribbon.classify_boundary(g, torus)
             assert not rep.geodesic_cycles
             assert sum(p for _, _, p in rep.cusp_cycles) == k * torus.cusps
             h = graphs.subgroup_class(g, surface=torus)

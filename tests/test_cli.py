@@ -135,12 +135,15 @@ def test_fibers(capsys):
 
 
 def test_fibers_cap_exit(capsys):
-    code, payload = run_json(capsys, "--max-ball", "50", "fibers",
-                             "--seed", "1:aa,b", "--L", "30")
+    code = cli.run(["--no-meta", "--max-ball", "50", "fibers",
+                    "--seed", "1:aa,b", "--L", "30"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert code == 4
     assert payload == {"L": 30.0, "ball_size": payload["ball_size"],
                        "frontier_exhausted": False}
     assert payload["ball_size"] > 0
+    assert captured.err == "scl: resource cap: orbit ball exceeded cap of 50 elements\n"
 
 
 def test_low_index(capsys):

@@ -47,7 +47,7 @@ def test_order_string_round_trip(torus):
 
 
 def test_classify_bouquet(torus):
-    rep = ribbon.classify_boundary(graphs.bouquet(2), torus.ribbon_order, torus)
+    rep = ribbon.classify_boundary(graphs.bouquet(2), torus)
     assert rep.euler_char == -1
     assert rep.genus == 1
     assert len(rep.cusp_cycles) == 1 and not rep.geodesic_cycles
@@ -55,7 +55,7 @@ def test_classify_bouquet(torus):
 
 def test_classify_index_two_cover(torus):
     g = graphs.core(graphs.fold([W("a"), W("bb"), W("baB")], rank=2))
-    rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
+    rep = ribbon.classify_boundary(g, torus)
     assert rep.euler_char == -2
     assert rep.genus == 1
     assert len(rep.cusp_cycles) == 2
@@ -64,11 +64,24 @@ def test_classify_index_two_cover(torus):
 
 def test_classify_rank_two(torus):
     g = graphs.core(graphs.fold([W("aa"), W("b")], rank=2))
-    rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
+    rep = ribbon.classify_boundary(g, torus)
     assert rep.euler_char == -1 and rep.genus == 1
     ((root, kind, power),) = rep.cycles
     assert kind == "geodesic" and power == 1
     assert root == words.conj_class(W("aaBAAb"))
+
+
+def test_one_root_split_per_boundary_walk(torus, monkeypatch):
+    cases = [graphs.bouquet(2), graphs.core(graphs.fold([W("aa"), W("b")], rank=2)),
+             *graphs.subgroups_of_index(2, 4)]
+    torus.peripheral_roots  # split the peripheral words before counting
+    calls = []
+    split = words.primitive_root
+    monkeypatch.setattr(words, "primitive_root", lambda c: calls.append(c) or split(c))
+    for g in cases:
+        calls.clear()
+        rep = ribbon.classify_boundary(g, torus)
+        assert len(calls) == len(rep.cycles) == len(ribbon.boundary_cycles(g, torus.ribbon_order))
 
 
 def test_dart_partition_and_genus(rng, torus):
@@ -77,7 +90,7 @@ def test_dart_partition_and_genus(rng, torus):
         g = graphs.from_key(h.key)
         cycles = ribbon.boundary_cycles(g, torus.ribbon_order)
         assert sum(len(c) for c in cycles) == 2 * len(g.edges)
-        rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
+        rep = ribbon.classify_boundary(g, torus)
         assert rep.genus >= 0
 
 
@@ -92,7 +105,7 @@ def test_cyclic_gives_annulus(rng, torus):
 def test_complete_covers_are_all_cusp(rng, torus):
     for k in (1, 2, 3, 4):
         for g in graphs.subgroups_of_index(2, k):
-            rep = ribbon.classify_boundary(g, torus.ribbon_order, torus)
+            rep = ribbon.classify_boundary(g, torus)
             assert not rep.geodesic_cycles
             assert sum(p for _, _, p in rep.cusp_cycles) == k * torus.cusps
 

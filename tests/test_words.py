@@ -228,14 +228,17 @@ def test_apply_matches_letterwise_reference(rng, torus):
 
 
 def test_is_peripheral_examples(torus):
-    assert words.is_peripheral(words.conj_class(W("abAB")), torus) == (True, 1)
-    assert words.is_peripheral(words.conj_class(W("abABabAB")), torus) == (True, 2)
-    assert words.is_peripheral(words.conj_class(W("a")), torus) == (False, None)
+    def split(text):
+        return words.primitive_root(words.conj_class(W(text)))
+
+    assert words.is_peripheral(*split("abAB"), torus) == (True, 1)
+    assert words.is_peripheral(*split("abABabAB"), torus) == (True, 2)
+    assert words.is_peripheral(*split("a"), torus) == (False, None)
 
 
 def test_is_peripheral_conjugated_powers(torus):
     w = words.reduce(W("ba") + W("abABabAB") + W("AB"))
-    assert words.is_peripheral(words.conj_class(w), torus) == (True, 2)
+    assert words.is_peripheral(*words.primitive_root(words.conj_class(w)), torus) == (True, 2)
 
 
 def test_peripheral_matches_trace_classification(torus, rng):
@@ -245,5 +248,5 @@ def test_peripheral_matches_trace_classification(torus, rng):
             c = words.conj_class(w)
         except TrivialWordError:
             continue
-        peripheral, _ = words.is_peripheral(c, torus)
+        peripheral, _ = words.is_peripheral(*words.primitive_root(c), torus)
         assert peripheral == (geometry.classify(w, torus) == "parabolic")
