@@ -148,6 +148,24 @@ def christoffel_word(p: int, q: int):
     return tuple(out)
 
 
+def _check_slope_oracle(surface, limit: float) -> None:
+    if not surface.is_punctured_torus:
+        raise ConfigError(
+            f"surface {surface.name!r} is not a once-punctured torus of rank 2; "
+            "the slope oracle knows only its curves")
+    if not 0 < limit < math.inf:
+        raise InputError(f"limit must be finite and positive, got {limit}")
+
+
+def _census_lengths(surface, limit: float, grid):
+    """The sorted lengths of the slope oracle and the checked grid.  The
+    surface, the limit and the grid are checked before the walk, so a bad
+    grid costs no L^2-sized walk."""
+    _check_slope_oracle(surface, limit)
+    grid = _checked_grid(grid, limit, "limit")
+    return [ell for _, ell in _slope_lengths(surface, limit)], grid
+
+
 def _slope_lengths(surface, limit: float):
     """(slope, length) of every simple closed geodesic of length <= limit,
     sorted by length then slope.
@@ -160,12 +178,7 @@ def _slope_lengths(surface, limit: float):
     node are also seen over the limit, so trace monotonicity is verified
     locally rather than assumed.
     """
-    if not surface.is_punctured_torus:
-        raise ConfigError(
-            f"surface {surface.name!r} is not a once-punctured torus of rank 2; "
-            "the slope oracle knows only its curves")
-    if not 0 < limit < math.inf:
-        raise InputError(f"limit must be finite and positive, got {limit}")
+    _check_slope_oracle(surface, limit)
     mats = surface._letter_matrices
     a, b, b_inv = mats[1], mats[2], mats[-2]
     out = []
@@ -206,8 +219,7 @@ def scc_classes(surface, limit: float):
 def scc_census(surface, limit: float, grid) -> CensusTable:
     """Counts of simple closed geodesics up to each grid length; an empty
     grid is an InputError."""
-    lengths = [ell for _, ell in _slope_lengths(surface, limit)]
-    grid = _checked_grid(grid, limit, "limit")
+    lengths, grid = _census_lengths(surface, limit, grid)
     return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid])
 
 
@@ -219,8 +231,7 @@ def mlz_census(surface, limit: float, grid):
     over the curve census.  The ratio column estimates the Thurston
     measure of the unit length ball.
     """
-    lengths = [ell for _, ell in _slope_lengths(surface, limit)]
-    grid = _checked_grid(grid, limit, "limit")
+    lengths, grid = _census_lengths(surface, limit, grid)
     rows = []
     ratios = []
     for L in grid:

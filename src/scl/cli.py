@@ -15,7 +15,7 @@ import json
 import string
 import sys
 
-from . import census, currents, geometry, graphs, mcg, words
+from . import __version__, census, currents, geometry, graphs, mcg, words
 from .errors import ConfigError, InputError, ResourceLimitError, SclError
 
 
@@ -48,11 +48,25 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# options of the whole program, which _meta reports only where they apply
+_CAPS = {"orbit-count": "max_ball", "fibers": "max_ball", "low-index": "max_index"}
+_TOP = ("surface", "out", "no_meta", "max_ball", "max_index", "subcommand", "fn")
+
+
 def _meta(args) -> dict:
-    """How the output was made: the JSON ``meta`` and the CSV ``#`` header."""
+    """How the output was made: the JSON ``meta`` and the CSV ``#`` header.
+
+    It names the package version and the command's parsed parameters: its
+    own options, and the cap in force where the command has one.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _TOP}
+    if args.subcommand in _CAPS:
+        params[_CAPS[args.subcommand]] = getattr(args, _CAPS[args.subcommand])
     return {
         "surface": args.surface.name,
         "command": args.subcommand,
+        "version": __version__,
+        "params": params,
         "generated": datetime.datetime.now().isoformat(timespec="seconds"),
     }
 
@@ -66,8 +80,11 @@ def _emit_json(args, payload: dict) -> None:
 def _emit_csv(args, header, rows) -> None:
     lines = []
     if not args.no_meta:
-        lines.append("# scl {command} surface={surface} generated={generated}"
-                     .format(**_meta(args)))
+        meta = _meta(args)
+        fields = [f"surface={meta['surface']}", f"version={meta['version']}",
+                  *(f"{k}={json.dumps(v)}" for k, v in meta["params"].items()),
+                  f"generated={meta['generated']}"]
+        lines.append(" ".join(["# scl", meta["command"], *fields]))
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(str(x) for x in row))
@@ -225,7 +242,7 @@ def _build_parser():
     top.add_argument("--out", metavar="FILE", help="write output to FILE")
     top.add_argument("--no-meta", action="store_true",
                      help="suppress the timestamp header for byte-stable output")
-    top.add_argument("--max-ball", type=int, default=None,
+    top.add_argument("--max-ball", type=int, default=mcg.DEFAULT_BALL_CAP,
                      help="orbit ball cap")
     top.add_argument("--max-index", type=int, default=graphs.DEFAULT_INDEX_CAP,
                      help="low-index enumeration cap")
@@ -290,7 +307,7 @@ def run(argv) -> int:
             args.surface = geometry.validated(geometry.surface_from_file(args.surface))
         else:
             args.surface = geometry.modular_torus()
-        if args.max_ball is not None and args.max_ball <= 0:
+        if args.max_ball <= 0:
             raise InputError("--max-ball must be positive")
         if args.max_index <= 0:
             raise InputError("--max-index must be positive")

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import zip_longest
 
 from . import graphs, ribbon, words
 from .errors import (
@@ -165,29 +164,39 @@ def holonomy_trace(w, s: SurfaceStructure):
 
 
 def _twisted_pairs(images, s: SurfaceStructure):
-    """The letter table of rho o t for generator images ``images`` of t,
-    stepped two letters at a time: ``(x, y)`` holds the matrix of
-    rho(t(x y)) and ``(x, 0)`` that of rho(t(x)).
+    """The table of rho o t for generator images ``images`` of t, keyed by
+    the two-byte codes of :func:`_pairs`: the code of the byte letters
+    ``x y`` holds the matrix of rho(t(x y)), and that of ``x`` and a zero
+    byte the matrix of rho(t(x)).
 
-    ``_trace(_pairs(w), table)`` is then tr rho(t(w)), so the trace of an
-    image is read off the letters it is the image of.  Integer tables
-    only: a float product associated in another order may move an ulp.
+    ``_trace(_pairs(w), table)`` is then tr rho(t(w)) for a byte word w,
+    so the trace of an image is read off the letters it is the image of.
+    Integer tables only: a float product associated in another order may
+    move an ulp.
     """
     mats = s._letter_matrices
     single = {}
     for i, im in enumerate(images):
         a, b, c, d = reduce(_product, map(mats.__getitem__, im), (1, 0, 0, 1))
-        single[i + 1], single[-(i + 1)] = (a, b, c, d), (d, -b, -c, a)
-    table = {(x, 0): m for x, m in single.items()}
+        single[words._BYTE[i + 1]], single[words._BYTE[-(i + 1)]] = (a, b, c, d), (d, -b, -c, a)
+    code = _pairs
+    table = {code(bytes((x,)))[0]: m for x, m in single.items()}
     for x, m in single.items():
         for y, n in single.items():
-            table[x, y] = _product(m, n)
+            table[code(bytes((x, y)))[0]] = _product(m, n)
     return table
 
 
-def _pairs(w):
-    """The letters of ``w`` two at a time, an odd last one as ``(x, 0)``."""
-    return zip_longest(w[::2], w[1::2], fillvalue=0)
+def _pairs(w: bytes):
+    """The letters of the byte word ``w`` two at a time, as native-order
+    two-byte codes; an odd last letter is paired with a zero byte."""
+    return memoryview(w + b"\0" if len(w) % 2 else w).cast("H")
+
+
+def _byte_letter_matrices(s: SurfaceStructure):
+    """``s._letter_matrices`` keyed by the byte of each letter, for
+    stepping a byte word one letter at a time."""
+    return {words._BYTE[l]: m for l, m in s._letter_matrices.items()}
 
 
 def _is_parabolic_trace(t, exact: bool) -> bool:

@@ -19,11 +19,14 @@ down the curve walk's tree.  For a cyclic seed c <r^m> its push rule gives
 the curve mu = t(r) the one class c <mu^m>, keyed straight from the cycle
 of mu's canonical letters with no twist action.
 
-The curve walk keeps its nodes as sorted tuples of ``(letters, i)``
-components, ``i`` indexing the seed's distinct weights, so dedup hashes
-ints, and each image is reduced once.  On an exact surface a new node is
-measured through the twisted representation rho o t of the twist t that
-reached it, along its parent's letters, since tr rho(t(w)) =
+The curve walk keeps its nodes as tuples of ``(bytes, i)`` components:
+a curve's canonical letters one byte each (``words._encode``), and ``i``
+indexing the seed's distinct weights, so dedup hashes bytes.  Each twist
+maps a curve through its ``words._image_kernel``, which reduces and
+canonicalizes the image with ``bytes`` methods; letter tuples are made
+only for the ``b_key`` of a lifted node.  On an exact surface a new node
+is measured through the twisted representation rho o t of the twist t
+that reached it, along its parent's letters, since tr rho(t(w)) =
 tr (rho o t)(w); a float surface measures the node's own letters.
 """
 
@@ -105,16 +108,11 @@ def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> Subgr
     return graphs.subgroup_class(image, surface=surface)
 
 
-def _image(phi: words.Automorphism, letters) -> words.ConjClass:
-    """The class of ``phi`` applied to a curve's letters: the one image
-    kernel, reducing the image once."""
-    return words._conj_class_reduced(words.apply(phi, letters))
-
-
 def act_on_multicurve(phi: words.Automorphism, mc: Multicurve) -> Multicurve:
+    image = words._image_kernel(phi)
     acc = {}
     for c, w in mc.items:
-        img = _image(phi, c.letters)
+        img = words.ConjClass(words._decode(image(words._encode(c.letters))))
         acc[img] = acc.get(img, 0) + w
     return Multicurve.from_dict(acc)
 
@@ -352,8 +350,9 @@ class _Orbit:
         return self.finish(elements, complete, stats)
 
     def push_rule(self, fiber_size):
-        """The lift's rule ``push(fiber, t_idx, node)``: the fiber over the
-        tree child ``node``, reached by twist ``t_idx``, from its parent's.
+        """The lift's rule ``push(fiber, t_idx, b_key)``: the fiber over the
+        tree child with boundary image ``b_key``, reached by twist
+        ``t_idx``, from its parent's.
 
         In general fiber(t(mu)) = t(fiber(mu)).  For a seed c <r^m> (one
         term of rank 1) every node is one curve mu = t(r), and the one
@@ -370,8 +369,8 @@ class _Orbit:
         ((root, _),) = self.seed_record[1]
         m, surface = graphs.from_key(cls_key).vertex_count // len(root), self.surface
 
-        def push(fiber, t_idx, node):
-            ((letters, _),) = node
+        def push(fiber, t_idx, b_key):
+            ((letters, _),) = b_key
             word = letters * m  # canonical, as the m-th power of a canonical word
             graphs.check_not_peripheral(words.ConjClass(word), surface)
             return [((graphs.canonical_key(graphs.cycle(word, surface.rank)), c),)]
@@ -391,8 +390,8 @@ class _Orbit:
                 mu = tree[mu][0]
             for nu in reversed(path):
                 parent, t_idx = tree[nu]
-                fibers[nu] = push(fibers[parent], t_idx, nu)
-                b_key = tuple((letters, weights[i]) for letters, i in nu)
+                b_key = tuple((words._decode(letters), weights[i]) for letters, i in nu)
+                fibers[nu] = push(fibers[parent], t_idx, b_key)
                 elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], b_key)))
         return elements
 
@@ -400,13 +399,16 @@ class _Orbit:
         """The walk of the orbit of B(seed) at cutoff L, timed, and the
         seed's sorted distinct weights.
 
-        A node is the sorted tuple of its components ``(letters, i)``,
-        with ``weights[i]`` the component's weight, so dedup hashes ints.
-        On an exact surface a new node's traces are taken through the
-        twisted table of the twist that reached it, along its parent's
-        letters: tr rho(t(w)) = tr (rho o t)(w).  A float surface measures
-        the node's own letters, one letter per step, so no value moves by
-        an ulp.
+        A node is the tuple of its components ``(letters, i)``, with
+        ``letters`` the curve's canonical byte word (``words._encode``) and
+        ``weights[i]`` the component's weight, so dedup hashes bytes.  Its
+        components are in the order of their int letters, then ``i``, so a
+        node lifts to the ``b_key`` of its multicurve.  Each image comes
+        from the twist's ``words._image_kernel``.  On an exact surface a
+        new node's traces are taken through the twisted table of the twist
+        that reached it, along its parent's letters: tr rho(t(w)) =
+        tr (rho o t)(w).  A float surface measures the node's own letters,
+        one letter per step, so no value moves by an ulp.
         """
         start = perf_counter()
         surface, twists = self.surface, self.twists
@@ -414,26 +416,32 @@ class _Orbit:
         weights = sorted({w for _, w in b0})
         float_weights = [float(w) for w in weights]
         area = currents.area(self.seed)[0]
+        kernels = [words._image_kernel(t) for t in twists]
+        letter_table = geometry._byte_letter_matrices(surface)
         tables = ([geometry._twisted_pairs(t.images, surface) for t in twists]
                   if surface.exact else None)
 
         def act(t_idx, node):
-            phi = twists[t_idx]
-            images = sorted((_image(phi, letters).letters, i, letters) for letters, i in node)
+            image = kernels[t_idx]
+            if len(node) == 1:
+                ((src, i),) = node
+                return ((image(src), i),), (t_idx, (src,))
+            images = sorted(((image(src), i, src) for src, i in node),
+                            key=lambda row: (row[0].translate(words._INT_ORDER), row[1]))
             return tuple((im, i) for im, i, _ in images), (t_idx, [src for *_, src in images])
 
         def record(node, hint):
             if hint is None or tables is None:
-                traces = [geometry.holonomy_trace(letters, surface) for letters, _ in node]
+                traces = [geometry._trace(letters, letter_table) for letters, _ in node]
             else:
                 t_idx, sources = hint
                 traces = [geometry._trace(geometry._pairs(src), tables[t_idx]) for src in sources]
             length = currents._length(
-                ((float_weights[i], t, words.ConjClass(letters))
+                ((float_weights[i], t, words._Spelled(letters))
                  for (letters, i), t in zip(node, traces)), surface)
             return (currents._value(self.functional, length, area),)
 
-        node0 = tuple((letters, weights.index(w)) for letters, w in b0)
+        node0 = tuple((words._encode(letters), weights.index(w)) for letters, w in b0)
         found = _walk(node0, act, record, self.margin * self.L,
                       self.cap // fiber_size, self.inverse)
         self.seconds["curve_walk_s"] = perf_counter() - start

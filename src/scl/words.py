@@ -8,6 +8,11 @@ so rank is capped at 26.
 Conjugacy classes are unoriented: the canonical representative is the
 lexicographic minimum over all rotations of the cyclic word and of its
 inverse, under the letter order a < b < ... < A < B < ...
+
+The curve walk of :mod:`scl.mcg` holds words as ``bytes``, one letter
+per byte in that same order (``_KEY[l] + 1``, so 1..52), and maps them
+through :func:`_image_kernel`, which reduces, inverts and rotates them
+with ``bytes`` methods only.
 """
 
 from __future__ import annotations
@@ -27,6 +32,15 @@ for _i, _ch in enumerate(ascii_lowercase):
     _ORD[_ch.upper()] = -(_i + 1)
     _KEY[_i + 1] = _INV_KEY[-(_i + 1)] = _i
     _KEY[-(_i + 1)] = _INV_KEY[_i + 1] = _i + 26
+
+# the byte of letter l is _KEY[l] + 1, so byte order is letter order;
+# _LETTER[b] is the letter of byte b, _INVERT maps a byte to its inverse's,
+# _INT_ORDER to a byte of the same rank among the int letters -26 < ... < 26
+_BYTE = {l: k + 1 for l, k in _KEY.items()}
+_LETTER = (0, *sorted(_BYTE, key=_BYTE.__getitem__))
+_INVERT = bytes([0, *(_BYTE[-l] for l in _LETTER[1:])]).ljust(256, b"\0")
+_INT_ORDER = bytes([0, *(l + 26 for l in _LETTER[1:])]).ljust(256, b"\0")
+_ASCII = (b"?" + ascii_lowercase.encode() + ascii_lowercase.upper().encode()).ljust(256, b"?")
 
 
 def word_from_str(s: str) -> Word:
@@ -50,6 +64,28 @@ def check_rank(w, rank: int) -> None:
     for l in w:
         if not 1 <= abs(l) <= rank:
             raise InputError(f"letter index {abs(l) - 1} out of range for rank {rank}")
+
+
+def _encode(w) -> bytes:
+    """The bytes of a word's letters; letters are not checked."""
+    return bytes(map(_BYTE.__getitem__, w))
+
+
+def _decode(b) -> Word:
+    return tuple(map(_LETTER.__getitem__, b))
+
+
+class _Spelled:
+    """A byte word that formats as its ASCII letters, so an error message
+    can name a curve that is only decoded if the message is made."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word):
+        self.word = word
+
+    def __str__(self):
+        return self.word.translate(_ASCII).decode("ascii")
 
 
 def reduce(raw) -> Word:
@@ -184,6 +220,88 @@ def apply(phi: Automorphism, w) -> Word:
         raise InputError(
             f"letter {exc.args[0]!r} is not a generator of rank {phi.rank} or its inverse"
         ) from None
+
+
+def _image_kernel(phi: Automorphism):
+    """The function that maps a cyclically reduced nontrivial byte word w
+    to the canonical byte word of the class of ``phi(w)``: the one image
+    kernel of the curve walk and of :func:`scl.mcg.act_on_multicurve`.
+
+    Every step is a ``bytes`` method, so it runs at C speed.  One
+    ``translate`` turns each letter whose image is not itself into a
+    marker byte above the letters (and a letter beyond the rank into 0),
+    and one ``replace`` per marker writes its image.  Deleting every
+    cancelling pair, one ``replace`` per pair, until the length stops
+    changing leaves the reduced image; the letters that cancel cyclically
+    are cut, and the class is the least of the rotations of the word and
+    of its inverse that start with their least letter.
+    """
+    rank = phi.rank
+    table = bytearray(256)
+    swaps = []
+    for i, im in enumerate(phi.images):
+        for l, block in ((i + 1, _encode(im)), (-(i + 1), _encode(inverse(im)))):
+            b = _BYTE[l]
+            if block == bytes((b,)):
+                table[b] = b
+            else:
+                table[b] = 128 + b
+                swaps.append((bytes((128 + b,)), block))
+    table = bytes(table)
+    top = max([rank, *(abs(l) for im in phi.images for l in im)])
+    cancelling = [bytes((_BYTE[l], _BYTE[-l])) for l in range(-top, top + 1) if l]
+
+    def image(src: bytes) -> bytes:
+        w = src.translate(table)
+        for marker, block in swaps:
+            w = w.replace(marker, block)
+        if 0 in w:
+            bad = next(b for b in src if not table[b])
+            raise InputError(f"letter {_LETTER[bad]!r} is not a generator of rank {rank} "
+                             "or its inverse")
+        n = -1
+        while n != len(w):
+            n = len(w)
+            for pair in cancelling:
+                w = w.replace(pair, b"")
+        v = w.translate(_INVERT)[::-1]
+        d = 0
+        while n - 2 * d > 1 and w[d] == v[d]:
+            d += 1
+        if d:
+            w, v = w[d:n - d], v[d:n - d]
+        if not w:
+            raise TrivialWordError("trivial word has no conjugacy class")
+        least, inv_least = min(w), min(v)
+        if least < inv_least:
+            return _least_rotation_bytes(w, least)
+        if inv_least < least:
+            return _least_rotation_bytes(v, inv_least)
+        return min(_least_rotation_bytes(w, least), _least_rotation_bytes(v, least))
+    return image
+
+
+_MAX_STARTS = 256  # a curve of the L = 140 lsc ball of 1:aa,b has about 70
+
+
+def _least_rotation_bytes(w: bytes, least: int) -> bytes:
+    """The least rotation of ``w``, whose least byte is ``least``: the
+    least of the slices of ``w + w`` that start at that byte.  Past
+    ``_MAX_STARTS`` such starts the linear scan of :func:`_least_rotation`
+    is cheaper than the quadratic run of slices."""
+    if w.count(least) > _MAX_STARTS:
+        i = _least_rotation(w)
+        return w[i:] + w[:i]
+    n, ww = len(w), w + w
+    i = w.index(least)
+    best = ww[i:i + n]
+    i = w.find(least, i + 1)
+    while i >= 0:
+        s = ww[i:i + n]
+        if s < best:
+            best = s
+        i = w.find(least, i + 1)
+    return best
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

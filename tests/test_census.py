@@ -166,6 +166,20 @@ def test_slope_oracle_needs_a_punctured_torus(torus):
                 run(surface, 10.0, *grid)
 
 
+def test_census_grid_is_checked_before_the_slope_walk(torus, monkeypatch):
+    # a bad grid is rejected before any slope is measured, however large L
+    def measured(*args):
+        raise AssertionError("the slope walk ran before the grid check")
+
+    monkeypatch.setattr(geometry, "checked_length", measured)
+    with pytest.raises(InputError, match="at least one point"):
+        census.scc_census(torus, 180.0, [])
+    with pytest.raises(InputError, match="NaN"):
+        census.mlz_census(torus, 180.0, [float("nan")])
+    with pytest.raises(InputError, match="beyond limit"):
+        census.scc_census(torus, 180.0, [200.0])
+
+
 def test_fit_exponent_synthetic():
     quad = census.CensusTable(
         rows=tuple((L, L * L) for L in range(2, 40)), meta={})

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import scl
 from scl import cli, mcg
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -173,6 +174,26 @@ def test_meta_header_present_by_default(capsys):
     code, out = run_cli(capsys, "scc-count", "--L", "2", "--grid", "1")
     assert code == 0
     assert out.startswith("# scl scc-count")
+
+
+def test_meta_names_the_version_and_the_parameters(capsys):
+    code, out = run_cli(capsys, "--max-ball", "5000", "orbit-count", "--seed", "1:aa,b",
+                        "--L", "8", "--grid", "2")
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header.startswith(f"# scl orbit-count surface=modular-torus version={scl.__version__} ")
+    for field in ('seed="1:aa,b"', 'functional="lsc"', "L=8.0", "margin=1.5", "grid=2",
+                  'mode="eta"', "max_ball=5000", "generated="):
+        assert f" {field}" in header, field
+    code, out = run_cli(capsys, "fibers", "--seed", "1:a", "--L", "6")
+    meta = json.loads(out)["meta"]
+    assert code == 0 and meta["version"] == scl.__version__
+    assert meta["params"] == {"seed": "1:a", "functional": "lsc", "L": 6.0, "margin": 1.5,
+                              "max_ball": mcg.DEFAULT_BALL_CAP}
+    code, out = run_cli(capsys, "--max-index", "7", "low-index", "--rank", "2", "--k", "2")
+    assert json.loads(out)["meta"]["params"] == {"rank": 2, "k": 2, "max_index": 7}
+    code, out = run_cli(capsys, "scc-count", "--L", "4", "--grid", "2")
+    assert " max_" not in out.splitlines()[0] and " grid=2 " in out.splitlines()[0]
 
 
 def test_out_file(tmp_path, capsys):

@@ -13,6 +13,7 @@ from scl.errors import (
     ConfigError,
     InputError,
     InternalConsistencyError,
+    ParabolicError,
     PeripheralSubgroupError,
     ResourceLimitError,
 )
@@ -472,9 +473,16 @@ def test_twisted_trace_is_the_trace_of_the_image(raw):
     torus = geometry.modular_torus()
     for t in mcg.twist_generators(torus):
         table = geometry._twisted_pairs(t.images, torus)
-        got = geometry._trace(geometry._pairs(tuple(raw)), table)
+        got = geometry._trace(geometry._pairs(words._encode(raw)), table)
         want = geometry.holonomy_trace(words.apply(t, raw), torus)
         assert type(got) is int and got == want
+
+
+def test_a_walked_curve_is_named_in_ascii_letters(torus):
+    # the walk hands its byte words to the length check, which spells one
+    # out only when it raises
+    with pytest.raises(ParabolicError, match="curve abAB is parabolic"):
+        currents._length([(1.0, 2, words._Spelled(words._encode(W("abAB"))))], torus)
 
 
 @settings(max_examples=12, deadline=None)
@@ -506,6 +514,23 @@ def test_curve_walk_pins_the_aab_ball_at_50(torus):
         "b01af07a1325e6e5a3e8b5acbf2bbde44b3f92138112402083dbc90fceffb8c8"
     counts = tuple(ball.stats[name] for name in ("seen", "explored", "members"))
     assert counts == (5880, 2940, 1284)
+
+
+# multi-component boundary images: a node's components keep the order of
+# their int letters, so the b_keys and the float sum of each value do not move
+@pytest.mark.parametrize("text, L, digest, counts", [
+    ("1:aa,b;1/2:a", 30.0,
+     "0efe2f14e3392cc01a54b365b4e9ab0c5e644446db529b29cd9539aeaa3378bd", (696, 348, 120)),
+    ("3/7:aab,bA;2:b", 24.0,
+     "8f49d202a0917c5564d54a1650288669fde6bc30e0f1ac71a4a98ee1ad0540f3", (2436, 1212, 456)),
+])
+def test_curve_walk_pins_multi_component_balls(torus, text, L, digest, counts):
+    seed = currents.parse_current(text, torus)
+    ball = mcg.orbit_ball(seed, currents.parse_functional("la"), L, 1.5, surface=torus)
+    assert all(len(b_key) == 2 for _, _, b_key in ball.members())
+    got = hashlib.sha256(repr((ball.members(), ball.frontier_exhausted)).encode())
+    assert got.hexdigest() == digest
+    assert tuple(ball.stats[name] for name in ("seen", "explored", "members")) == counts
 
 
 @pytest.mark.parametrize("text, L", [

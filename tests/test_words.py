@@ -1,9 +1,10 @@
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from scl import geometry, words
+from scl import currents, geometry, mcg, words
 from scl.errors import InputError, TrivialWordError
 from conftest import random_mapping_class, random_reduced_word
 
@@ -250,3 +251,116 @@ def test_peripheral_matches_trace_classification(torus, rng):
             continue
         peripheral, _ = words.is_peripheral(*words.primitive_root(c), torus)
         assert peripheral == (geometry.classify(w, torus) == "parabolic")
+
+
+# ---------------------------------------------------------------- byte words
+
+def test_byte_letters_round_trip_in_key_order():
+    letters = [l for g in range(1, 27) for l in (g, -g)]
+    assert words._decode(words._encode(letters)) == tuple(letters)
+    in_key_order = sorted(letters, key=words._KEY.__getitem__)
+    assert list(words._encode(in_key_order)) == list(range(1, 53))
+    assert str(words._Spelled(words._encode(W("aabAzBZ")))) == "aabAzBZ"
+
+
+@given(st.lists(letters, max_size=12), st.lists(letters, max_size=12))
+def test_byte_order_is_the_canonical_letter_order(u, v):
+    # equal-length byte words compare as their _KEY sequences, so the least
+    # bytes rotation is the least rotation of conj_class
+    n = min(len(u), len(v))
+    u, v = u[:n], v[:n]
+    keys = (tuple(map(words._KEY.__getitem__, u)), tuple(map(words._KEY.__getitem__, v)))
+    assert (words._encode(u) < words._encode(v)) == (keys[0] < keys[1])
+
+
+def _kernel_matches_tuple_path(phi, w):
+    """The byte kernel gives the letters of _conj_class_reduced(apply(phi, w))."""
+    want = words._conj_class_reduced(words.apply(phi, w)).letters
+    assert words._decode(words._image_kernel(phi)(words._encode(w))) == want, (phi, w)
+
+
+def _nielsen_automorphism(rng, rank, moves):
+    """A random product of elementary Nielsen moves: x_i -> x_i x_j^(+-1),
+    x_i -> x_j^(+-1) x_i, x_i -> x_i^-1."""
+    phi = words.identity_automorphism(rank)
+    for _ in range(moves):
+        images = [(g + 1,) for g in range(rank)]
+        i = rng.randrange(rank)
+        others = [g for g in range(rank) if g != i]
+        if others and rng.random() < 0.8:
+            y = (rng.choice(others) + 1) * rng.choice((1, -1))
+            images[i] = (i + 1, y) if rng.random() < 0.5 else (y, i + 1)
+        else:
+            images[i] = (-(i + 1),)
+        phi = words.compose(words.Automorphism(images=tuple(images)), phi)
+    return phi
+
+
+def _cyclically_reduced(w):
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+@given(st.data())
+def test_image_kernel_matches_the_tuple_path(data):
+    rank = data.draw(st.sampled_from((2, 3)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    if rank == 2 and rng.random() < 0.5:
+        phi = random_mapping_class(rng, geometry.modular_torus(), 8)
+    else:
+        phi = _nielsen_automorphism(rng, rank, rng.randint(1, 8))
+    raw = data.draw(st.lists(st.integers(1, rank).flatmap(
+        lambda g: st.sampled_from((g, -g))), min_size=1, max_size=40))
+    w = _cyclically_reduced(words.reduce(raw))
+    if w:
+        _kernel_matches_tuple_path(phi, w)
+
+
+def test_image_kernel_matches_the_tuple_path_on_the_aab_ball(torus):
+    ball = mcg.orbit_ball(currents.parse_current("1:aa,b", torus), (1, 0), 50.0, surface=torus)
+    curves = {letters for _, _, b_key in ball.members() for letters, _ in b_key}
+    assert len(curves) == 642
+    for t in mcg.twist_generators(torus):
+        for letters in curves:
+            _kernel_matches_tuple_path(t, letters)
+
+
+def test_image_kernel_matches_the_tuple_path_on_adversarial_words():
+    ta = words.Automorphism(images=(W("a"), W("ab")))
+    tb = words.Automorphism(images=(W("ab"), W("b")))
+    # a -> abc, b -> CB, c -> c: the image of ab is ab cC B, so the pair bB
+    # cancels only once cC has gone, a second reduction pass
+    nested = words.Automorphism(images=(W("abc"), W("CB"), W("c")))
+    cases = [(phi, W(text)) for phi in (ta, tb)
+             for text in ("a" * 60 + "b", "ab" * 40, "a" * 90, "aab" * 30, "aabAAB" * 12,
+                          "aB" * 25, "AB" + "a" * 40, "b" + "A" * 33 + "b" * 7,
+                          # past _MAX_STARTS rotation starts: the linear scan
+                          "b" + "a" * 700, "ba" * 300, "b" + "aab" * 200, "a" * 500)]
+    cases += [(nested, W(text)) for text in ("ab", "abab", "abc" * 5 + "b", "aBc", "ab" * 20)]
+    # a block that cancels whole: b -> Ab meets a
+    cases += [(words.Automorphism(images=(W("a"), W("Ab"))), W(text))
+              for text in ("ab", "abab", "aab" * 9, "ab" * 30 + "b")]
+    for phi, w in cases:
+        _kernel_matches_tuple_path(phi, w)
+
+
+def test_image_kernel_on_rank_26_letters():
+    rank = 26
+    images = [(g + 1,) for g in range(rank)]
+    images[25] = W("za")  # z -> za
+    phi = words.Automorphism(images=tuple(images))
+    for text in ("z", "zZ" + "y", "zazb", "ZyZyaqa", "zzzzAy", "Z" * 9 + "a"):
+        w = _cyclically_reduced(W(text))
+        if w:
+            _kernel_matches_tuple_path(phi, w)
+
+
+def test_image_kernel_rejects_trivial_images_and_foreign_letters():
+    collapse = words.Automorphism(images=(W("a"), W("a")))  # b -> a: aB maps to 1
+    with pytest.raises(TrivialWordError):
+        words._image_kernel(collapse)(words._encode(W("aB")))
+    with pytest.raises(TrivialWordError):
+        words._conj_class_reduced(words.apply(collapse, W("aB")))
+    with pytest.raises(InputError, match="letter 3 "):
+        words._image_kernel(PHI1)(words._encode(W("abc")))
