@@ -45,9 +45,14 @@ def _table(kind, surface, rows, **meta) -> CensusTable:
 
 
 def make_grid(limit: float, points: int):
+    """``points`` evenly spaced lengths up to ``limit``.  The last one is
+    ``limit`` itself, which ``limit * points / points`` can round above."""
     if points < 1 or not 0 < limit < math.inf:
         raise InputError("grid needs a finite positive limit and at least one point")
-    return [limit * (i + 1) / points for i in range(points)]
+    grid = [limit * (i + 1) / points for i in range(points - 1)] + [limit]
+    if math.inf in grid:
+        raise InputError(f"grid of {points} points up to {limit} overflows")
+    return grid
 
 
 def _checked_grid(grid, limit, name):
@@ -212,7 +217,7 @@ def scc_classes(surface, limit: float):
     words and canonicalized.  Returns [(slope, class, length)] sorted by
     length then slope.
     """
-    return [(slope, words._conj_class_reduced(christoffel_word(*slope)), ell)
+    return [(slope, words.conj_class(christoffel_word(*slope)), ell)
             for slope, ell in _slope_lengths(surface, limit)]
 
 

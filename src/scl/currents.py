@@ -63,9 +63,6 @@ class Multicurve:
             acc[c] = acc.get(c, 0) + w
         return Multicurve.from_dict(acc)
 
-    def __len__(self):
-        return len(self.items)
-
     @property
     def key(self) -> tuple:
         """Canonical item tuple ``((letters, weight), ...)``, the ``b_key``
@@ -102,10 +99,6 @@ class RationalSubsetCurrent:
     @classmethod
     def of_subgroup(cls, h: SubgroupClass, weight=1) -> "RationalSubsetCurrent":
         return cls.from_terms([(h, weight)])
-
-    def scale(self, factor) -> "RationalSubsetCurrent":
-        factor = _as_positive_fraction(factor)
-        return RationalSubsetCurrent(terms=tuple((h, w * factor) for h, w in self.terms))
 
     def __add__(self, other) -> "RationalSubsetCurrent":
         return RationalSubsetCurrent.from_terms(self.terms + other.terms)

@@ -224,6 +224,8 @@ class _Orbit:
             raise InputError(f"cutoff L must be finite and positive, got {L}")
         if not 1 <= margin < math.inf:
             raise InputError(f"margin must be finite and at least 1, got {margin}")
+        if not margin * L < math.inf:
+            raise InputError(f"exploration bound margin * L = {margin} * {L} overflows")
         if mode not in ("eta", "J"):
             raise InputError(f"mode must be 'eta' or 'J', got {mode!r}")
         cap = DEFAULT_BALL_CAP if cap is None else cap

@@ -9,10 +9,12 @@ Conjugacy classes are unoriented: the canonical representative is the
 lexicographic minimum over all rotations of the cyclic word and of its
 inverse, under the letter order a < b < ... < A < B < ...
 
-The curve walk of :mod:`scl.mcg` holds words as ``bytes``, one letter
-per byte in that same order (``_KEY[l] + 1``, so 1..52), and maps them
-through :func:`_image_kernel`, which reduces, inverts and rotates them
-with ``bytes`` methods only.
+That order is the byte order of the byte form of a word, one letter per
+byte (a..z are 1..26, A..Z are 27..52).  :func:`_canonical` is the one
+canonicalizer of cyclic words: it cuts, inverts and rotates a byte word
+with ``bytes`` methods only.  :func:`conj_class` encodes its tuple word
+for it, and the curve walk of :mod:`scl.mcg` holds words as ``bytes``
+and maps them through :func:`_image_kernel`, which ends in it.
 """
 
 from __future__ import annotations
@@ -25,18 +27,13 @@ from .errors import InputError, TrivialWordError
 
 Word = tuple  # tuple of nonzero ints
 
-# _KEY orders letters a < b < ... < A < B < ...; _INV_KEY[l] is _KEY[-l]
-_ORD, _KEY, _INV_KEY = {}, {}, {}
-for _i, _ch in enumerate(ascii_lowercase):
-    _ORD[_ch] = _i + 1
-    _ORD[_ch.upper()] = -(_i + 1)
-    _KEY[_i + 1] = _INV_KEY[-(_i + 1)] = _i
-    _KEY[-(_i + 1)] = _INV_KEY[_i + 1] = _i + 26
-
-# the byte of letter l is _KEY[l] + 1, so byte order is letter order;
+# _BYTE[l] is the byte of letter l, so byte order is letter order;
 # _LETTER[b] is the letter of byte b, _INVERT maps a byte to its inverse's,
 # _INT_ORDER to a byte of the same rank among the int letters -26 < ... < 26
-_BYTE = {l: k + 1 for l, k in _KEY.items()}
+_ORD, _BYTE = {}, {}
+for _i, _ch in enumerate(ascii_lowercase):
+    _ORD[_ch], _ORD[_ch.upper()] = _i + 1, -(_i + 1)
+    _BYTE[_i + 1], _BYTE[-(_i + 1)] = _i + 1, _i + 27
 _LETTER = (0, *sorted(_BYTE, key=_BYTE.__getitem__))
 _INVERT = bytes([0, *(_BYTE[-l] for l in _LETTER[1:])]).ljust(256, b"\0")
 _INT_ORDER = bytes([0, *(l + 26 for l in _LETTER[1:])]).ljust(256, b"\0")
@@ -114,7 +111,7 @@ def concat(*ws) -> Word:
 @dataclass(frozen=True, slots=True)
 class ConjClass:
     """Canonical unoriented cyclic word; build via :func:`conj_class` only,
-    or from letters it (or its reduced-input entry) returned."""
+    or from letters it returned."""
 
     letters: Word
 
@@ -144,37 +141,7 @@ def _least_rotation(s):
 
 def conj_class(w) -> ConjClass:
     """Canonical unoriented conjugacy class of a nontrivial word."""
-    return _conj_class_reduced(reduce(w))
-
-
-def _conj_class_reduced(w) -> ConjClass:
-    """:func:`conj_class` of a freely reduced word, which is not reduced again.
-
-    The least rotation of an orientation starts with its least key, so
-    when the two orientations' least keys differ the smaller one wins and
-    only its rotations are scanned; a simple curve on the punctured torus
-    always takes that path.
-    """
-    n = len(w)
-    d = 0
-    while n - 2 * d > 1 and w[d] == -w[n - 1 - d]:
-        d += 1
-    w = w[d:n - d]
-    if not w:
-        raise TrivialWordError("trivial word has no conjugacy class")
-    keys = tuple(map(_KEY.__getitem__, w))
-    least, inv_least = min(keys), min(map(_INV_KEY.__getitem__, w))
-    if least < inv_least:
-        i = _least_rotation(keys)
-        return ConjClass(w[i:] + w[:i])
-    v = inverse(w)
-    inv_keys = tuple(map(_KEY.__getitem__, v))
-    j = _least_rotation(inv_keys)
-    if least == inv_least:
-        i = _least_rotation(keys)
-        if keys[i:] + keys[:i] <= inv_keys[j:] + inv_keys[:j]:
-            return ConjClass(w[i:] + w[:i])
-    return ConjClass(v[j:] + v[:j])
+    return ConjClass(_decode(_canonical(_encode(reduce(w)))))
 
 
 def primitive_root(c: ConjClass):
@@ -232,9 +199,8 @@ def _image_kernel(phi: Automorphism):
     marker byte above the letters (and a letter beyond the rank into 0),
     and one ``replace`` per marker writes its image.  Deleting every
     cancelling pair, one ``replace`` per pair, until the length stops
-    changing leaves the reduced image; the letters that cancel cyclically
-    are cut, and the class is the least of the rotations of the word and
-    of its inverse that start with their least letter.
+    changing leaves the reduced image, which :func:`_canonical` turns
+    into its class.
     """
     rank = phi.rank
     table = bytearray(256)
@@ -264,21 +230,34 @@ def _image_kernel(phi: Automorphism):
             n = len(w)
             for pair in cancelling:
                 w = w.replace(pair, b"")
-        v = w.translate(_INVERT)[::-1]
-        d = 0
-        while n - 2 * d > 1 and w[d] == v[d]:
-            d += 1
-        if d:
-            w, v = w[d:n - d], v[d:n - d]
-        if not w:
-            raise TrivialWordError("trivial word has no conjugacy class")
-        least, inv_least = min(w), min(v)
-        if least < inv_least:
-            return _least_rotation_bytes(w, least)
-        if inv_least < least:
-            return _least_rotation_bytes(v, inv_least)
-        return min(_least_rotation_bytes(w, least), _least_rotation_bytes(v, least))
+        return _canonical(w)
     return image
+
+
+def _canonical(w: bytes) -> bytes:
+    """The canonical byte word of the class of a freely reduced byte word.
+
+    The letters that cancel cyclically are cut.  The least rotation of an
+    orientation starts with its least letter, so the class is the least
+    rotation of the orientation whose least letter is less, or the lesser
+    of the two when they tie; a simple curve on the punctured torus never
+    ties.
+    """
+    n = len(w)
+    v = w.translate(_INVERT)[::-1]
+    d = 0
+    while n - 2 * d > 1 and w[d] == v[d]:
+        d += 1
+    if d:
+        w, v = w[d:n - d], v[d:n - d]
+    if not w:
+        raise TrivialWordError("trivial word has no conjugacy class")
+    least, inv_least = min(w), min(v)
+    if least < inv_least:
+        return _least_rotation_bytes(w, least)
+    if inv_least < least:
+        return _least_rotation_bytes(v, inv_least)
+    return min(_least_rotation_bytes(w, least), _least_rotation_bytes(v, least))
 
 
 _MAX_STARTS = 256  # a curve of the L = 140 lsc ball of 1:aa,b has about 70

@@ -242,6 +242,12 @@ def test_mlz_counts_dominate_scc(torus):
 
 def test_make_grid(torus):
     assert census.make_grid(30.0, 3) == [10.0, 20.0, 30.0]
+    # 20.3 * 13 / 13 rounds to 20.300000000000004, beyond the limit
+    assert census.make_grid(20.3, 13)[-1] == 20.3
+    assert census.make_grid(0.1, 3)[-1] == 0.1
+    assert census.make_grid(1e308, 2) == [5e307, 1e308]
+    with pytest.raises(InputError, match="overflows"):
+        census.make_grid(1e308, 3)
     with pytest.raises(InputError):
         census.make_grid(0.0, 3)
     # a non-finite limit gives NaN rows or a Stern-Brocot walk that never ends

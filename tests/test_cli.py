@@ -110,9 +110,22 @@ def test_orbit_count_checks_grid_before_the_ball(capsys, monkeypatch):
         raise AssertionError("orbit_ball called before the grid was checked")
 
     monkeypatch.setattr(mcg, "orbit_ball", no_ball)
-    code, out = run_cli(capsys, "--no-meta", "orbit-count", "--seed", "1:aa,b",
-                        "--L", "40", "--grid", "0")
-    assert (code, out) == (2, "")
+    # no point at all, and points that overflow past the largest float
+    for L, points in (("40", "0"), ("1e308", "20")):
+        code, out = run_cli(capsys, "--no-meta", "orbit-count", "--seed", "1:aa,b",
+                            "--L", L, "--grid", points)
+        assert (L, code, out) == (L, 2, "")
+
+
+def test_a_grid_ends_on_its_limit(capsys):
+    # 20.3 * 13 / 13 and 0.1 * 3 / 3 round above the limit they came from
+    cases = [("orbit-count", "--seed", "1:aa,b", "--L", "20.3", "--grid", "13"),
+             ("scc-count", "--L", "20.3", "--grid", "13"),
+             ("mlz-count", "--L", "0.1", "--grid", "3")]
+    for argv in cases:
+        code, out = run_cli(capsys, "--no-meta", *argv)
+        assert (argv, code) == (argv, 0)
+        assert out.splitlines()[-1].startswith(argv[-3] + ","), argv
 
 
 def test_non_finite_limits_exit_2(capsys):

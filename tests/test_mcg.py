@@ -248,6 +248,9 @@ def test_orbit_ball_input_guards(torus):
     for L, margin in ((math.nan, 1.5), (2.0, math.nan), (math.inf, 1.5), (2.0, math.inf)):
         with pytest.raises(InputError):
             mcg.orbit_ball(seed, (1, 0), L, margin=margin, surface=torus)
+    # finite each, but margin * L is not: the walk would stop only at the cap
+    with pytest.raises(InputError, match="overflows"):
+        mcg.orbit_ball(seed, (1, 0), 1e300, margin=1e300, surface=torus, cap=50)
     # no length term and a nonzero boundary image: the orbit is infinite
     with pytest.raises(InputError):
         mcg.orbit_ball(seed_of(torus, "aa", "b"), (0, 1), 10.0, surface=torus)

@@ -86,16 +86,18 @@ def test_primitive_root_round_trip(raw):
 
 def _letter_order(l):
     """The documented order a < b < ... < A < B < ... as a sort key."""
-    return (0, l) if l > 0 else (1, -l)
+    return l if l > 0 else 26 - l
 
 
 def _brute_conj_class(w):
-    """Least of all 2n rotations of the cyclically reduced w and of w^-1."""
-    w = words.reduce(w)
-    while len(w) > 1 and w[0] == -w[-1]:
-        w = w[1:-1]
-    rotations = [v[i:] + v[:i] for v in (w, words.inverse(w)) for i in range(len(w))]
-    return min(rotations, key=lambda v: [_letter_order(l) for l in v])
+    """Least of all 2n rotations of the cyclically reduced w and of w^-1,
+    each keyed as its list of letter orders."""
+    w = _cyclically_reduced(words.reduce(w))
+    rotations = []
+    for v in (w, words.inverse(w)):
+        keys = [_letter_order(l) for l in v]
+        rotations += [(keys[i:] + keys[:i], v[i:] + v[:i]) for i in range(len(v))]
+    return min(rotations)[1]
 
 
 def _cyclically_reduced_rank2(max_len):
@@ -126,17 +128,17 @@ def test_conj_class_matches_brute_force_on_powers_conjugates_and_rank4(rng):
 
 @given(st.data())
 def test_reduced_entry_matches_brute_force_on_one_sign_words(data):
-    # each generator appears with one sign, so the orientations' least keys
-    # differ and one rotation scan decides
+    # each generator appears with one sign, so the orientations' least
+    # letters differ and one rotation scan decides
     rank = data.draw(st.integers(1, 4))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
     w = tuple(data.draw(st.lists(
         st.integers(1, rank).map(lambda g: signs[g - 1] * g), min_size=1, max_size=30)))
-    with mock.patch.object(words, "_least_rotation", wraps=words._least_rotation) as scan:
-        got = words._conj_class_reduced(w)
+    with mock.patch.object(words, "_least_rotation_bytes",
+                           wraps=words._least_rotation_bytes) as scan:
+        got = words.conj_class(w)
     assert scan.call_count == 1
     assert got.letters == _brute_conj_class(w)
-    assert got == words.conj_class(w)
 
 
 @given(st.lists(letters, min_size=1, max_size=30))
@@ -144,9 +146,9 @@ def test_reduced_entry_matches_brute_force_on_mixed_words(raw):
     w = words.reduce(raw)
     if not w:
         with pytest.raises(TrivialWordError):
-            words._conj_class_reduced(w)
+            words.conj_class(w)
         return
-    assert words._conj_class_reduced(w).letters == _brute_conj_class(w)
+    assert words.conj_class(w).letters == _brute_conj_class(w)
 
 
 def test_reduced_entry_takes_both_paths():
@@ -154,10 +156,41 @@ def test_reduced_entry_takes_both_paths():
     # both orientations scanned; otherwise one scan decides
     for text, scans in (("aab", 1), ("aB", 1), ("AAb", 1), ("aabAAB", 2), ("baBA", 2),
                         ("baaBaa", 1), ("AbaBa", 1), ("bcBC", 2)):
-        with mock.patch.object(words, "_least_rotation", wraps=words._least_rotation) as scan:
-            got = words._conj_class_reduced(W(text))
+        with mock.patch.object(words, "_least_rotation_bytes",
+                               wraps=words._least_rotation_bytes) as scan:
+            got = words.conj_class(W(text))
         assert scan.call_count == scans, text
         assert got.letters == _brute_conj_class(W(text)), text
+
+
+def test_conj_class_matches_brute_force_around_the_linear_fallback(rng):
+    # just below and just past _MAX_STARTS starts of the least letter, where
+    # _least_rotation_bytes hands over to the linear scan of _least_rotation
+    assert words._MAX_STARTS == 256
+    for text, past in (("b" + "a" * 256, False), ("b" + "a" * 257, True),
+                       ("A" * 300 + "b", True), ("aab" * 200 + "b", True)):
+        w = W(text)
+        cases = [w, words.inverse(w)]
+        cases += [w[k:] + w[:k] for k in rng.sample(range(1, len(w)), 3)]
+        cases += [words.concat(u, w, words.inverse(u))
+                  for u in (random_reduced_word(rng, 2, 20) for _ in range(3))]
+        with mock.patch.object(words, "_least_rotation", wraps=words._least_rotation) as scan:
+            got = [words.conj_class(v).letters for v in cases]
+        assert (scan.call_count == len(cases)) if past else not scan.called, text
+        assert got == [_brute_conj_class(v) for v in cases], text
+
+
+def test_conj_class_matches_brute_force_on_rank_26_words(rng):
+    used = set()
+    for i in range(300):
+        w = random_reduced_word(rng, 26, 40)
+        if i % 3 == 1:
+            w = w * rng.randint(2, 3)
+        elif i % 3 == 2:
+            w = words.concat(w, W("z"), w, W("Z"))  # both z and Z in one class
+        used.update(w)
+        assert words.conj_class(w).letters == _brute_conj_class(w)
+    assert {26, -26} <= used
 
 
 def test_least_rotation_matches_brute_force(rng):
@@ -258,24 +291,24 @@ def test_peripheral_matches_trace_classification(torus, rng):
 def test_byte_letters_round_trip_in_key_order():
     letters = [l for g in range(1, 27) for l in (g, -g)]
     assert words._decode(words._encode(letters)) == tuple(letters)
-    in_key_order = sorted(letters, key=words._KEY.__getitem__)
+    in_key_order = sorted(letters, key=_letter_order)
     assert list(words._encode(in_key_order)) == list(range(1, 53))
     assert str(words._Spelled(words._encode(W("aabAzBZ")))) == "aabAzBZ"
 
 
 @given(st.lists(letters, max_size=12), st.lists(letters, max_size=12))
 def test_byte_order_is_the_canonical_letter_order(u, v):
-    # equal-length byte words compare as their _KEY sequences, so the least
-    # bytes rotation is the least rotation of conj_class
+    # equal-length byte words compare as their letter orders, so the least
+    # bytes rotation is the least rotation of the documented order
     n = min(len(u), len(v))
     u, v = u[:n], v[:n]
-    keys = (tuple(map(words._KEY.__getitem__, u)), tuple(map(words._KEY.__getitem__, v)))
+    keys = (tuple(map(_letter_order, u)), tuple(map(_letter_order, v)))
     assert (words._encode(u) < words._encode(v)) == (keys[0] < keys[1])
 
 
 def _kernel_matches_tuple_path(phi, w):
-    """The byte kernel gives the letters of _conj_class_reduced(apply(phi, w))."""
-    want = words._conj_class_reduced(words.apply(phi, w)).letters
+    """The byte kernel gives the brute-force class of the tuple image apply(phi, w)."""
+    want = _brute_conj_class(words.apply(phi, w))
     assert words._decode(words._image_kernel(phi)(words._encode(w))) == want, (phi, w)
 
 
@@ -361,6 +394,6 @@ def test_image_kernel_rejects_trivial_images_and_foreign_letters():
     with pytest.raises(TrivialWordError):
         words._image_kernel(collapse)(words._encode(W("aB")))
     with pytest.raises(TrivialWordError):
-        words._conj_class_reduced(words.apply(collapse, W("aB")))
+        words.conj_class(words.apply(collapse, W("aB")))
     with pytest.raises(InputError, match="letter 3 "):
         words._image_kernel(PHI1)(words._encode(W("abc")))
