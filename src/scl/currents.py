@@ -9,6 +9,10 @@ the boundary projection, the Euler characteristic, and lengths.
 Weights are exact ``Fraction``s throughout.  The half weight each
 boundary walk contributes is structural: it is what makes the projection
 restrict to the identity on multicurves.
+
+A current's value is :func:`functional_value`, alpha * length + beta *
+area, on the weighted length of its boundary image B: ``length_gc(B)`` in
+:func:`evaluate`, the :func:`_length` of its own traces in the curve walk.
 """
 
 from __future__ import annotations
@@ -68,18 +72,6 @@ class Multicurve:
         """Canonical item tuple ``((letters, weight), ...)``, the ``b_key``
         of every current whose boundary image this is."""
         return tuple((c.letters, w) for c, w in self.items)
-
-
-def check_multicurve(mc: Multicurve, surface) -> None:
-    """Raise unless every class is primitive, non-peripheral and canonical."""
-    for c, w in mc.items:
-        if words.conj_class(c.letters) != c:
-            raise InputError(f"class {c} is not in canonical form")
-        root, mult = words.primitive_root(c)
-        if mult != 1:
-            raise InputError(f"class {c} is a proper power; fold it into its root")
-        if words.is_peripheral(root, mult, surface)[0]:
-            raise InputError(f"class {c} is peripheral; not a geodesic class")
 
 
 @dataclass(frozen=True)
@@ -178,16 +170,10 @@ def check_functional(spec) -> None:
             f"functional weights must be nonnegative and not both zero, got {alpha},{beta}")
 
 
-def functional_value(spec, bnd: Multicurve, area_value: float, surface) -> float:
-    """alpha * length_gc(bnd) + beta * area_value: the one formula behind
-    every value, so a current always gets one float whichever caller asks,
-    whether it starts from the current or from its boundary image and area."""
-    return _value(spec, length_gc(bnd, surface), area_value)
-
-
-def _value(spec, length: float, area_value: float) -> float:
-    """:func:`functional_value` given the weighted length of the boundary
-    image, for callers that measure it by :func:`_length` themselves."""
+def functional_value(spec, length: float, area_value: float) -> float:
+    """alpha * length + beta * area_value for spec = (alpha, beta), with
+    ``length`` the weighted length of the boundary image: the one value
+    formula, so a current gets one float whoever measures its length."""
     return float(spec[0]) * length + float(spec[1]) * area_value
 
 
@@ -196,11 +182,11 @@ def evaluate(spec, terms, surface):
     ``terms``, and the canonical item key of their boundary image.
 
     The terms are projected once, and the value is
-    ``functional_value(spec, B, -2 pi chi)``.
+    ``functional_value(spec, length_gc(B), -2 pi chi)``.
     """
     eta = RationalSubsetCurrent.from_terms(terms)
     bnd = boundary_projection(eta, surface)
-    return functional_value(spec, bnd, area(eta)[0], surface), bnd.key
+    return functional_value(spec, length_gc(bnd, surface), area(eta)[0]), bnd.key
 
 
 def evaluate_functional(spec, eta: RationalSubsetCurrent, surface) -> float:

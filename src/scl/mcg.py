@@ -178,23 +178,23 @@ class OrbitBall:
         return len(self.members(limit))
 
 
-def _walk(start, act, record, bound, cap, inverse):
+def _walk(start, start_record, act, record, bound, cap, inverse):
     """Breadth-first walk of an orbit from ``start`` under the twists.
 
     A node valued at most ``bound`` is explored: ``act(i, x)`` is
     ``(y, hint)`` with ``y`` its image under twist ``i``, except under the
     inverse of the twist that reached it, which gives back its parent.
     ``record(y, hint)`` is the record of a node not seen before, its value
-    first; the hint is what ``act`` passes on, ``None`` for ``start``.
-    Returns ``(records, tree, complete)``:
-    ``records`` maps each seen node to its record, in the order seen;
-    ``tree`` maps it to ``(parent, twist index)``, or ``None`` for
-    ``start``; ``complete`` is False when the walk stopped on seeing more
-    than ``cap`` nodes.
+    first, given the hint ``act`` passed on; ``start_record`` is the
+    start's, measured once by the caller.  Returns ``(records, tree,
+    complete)``: ``records`` maps each seen node to its record, in the
+    order seen; ``tree`` maps it to ``(parent, twist index)``, or ``None``
+    for ``start``; ``complete`` is False when the walk stopped on seeing
+    more than ``cap`` nodes.
     """
-    records = {start: record(start, None)}
+    records = {start: start_record}
     tree = {start: None}
-    queue = deque([start] if records[start][0] <= bound else ())
+    queue = deque([start] if start_record[0] <= bound else ())
     while queue:
         x = queue.popleft()
         back = inverse[tree[x][1]] if tree[x] else None
@@ -251,8 +251,7 @@ class _Orbit:
             seed = RationalSubsetCurrent.from_terms(term_source)
         self.seed = seed
         self.seed_key = self.canon((h.key, Fraction(w)) for h, w in term_source)
-        self.seed_record = self.evaluate(self.seed_key)
-        value, b_key = self.seed_record
+        value, b_key = self.seed_record = self.evaluate(self.seed_key)
         if not functional[0] and b_key and value <= margin * L:
             raise InputError(
                 f"with alpha = 0 every element of this orbit has value {value} "
@@ -290,7 +289,8 @@ class _Orbit:
     def walk(self, cutoff):
         """The subgroup-level walk of a ball with this cutoff, timed."""
         start = perf_counter()
-        found = _walk(self.seed_key, lambda t_idx, key: (self.act(t_idx, key), None),
+        found = _walk(self.seed_key, self.seed_record,
+                      lambda t_idx, key: (self.act(t_idx, key), None),
                       lambda key, _: self.evaluate(key), self.margin * cutoff,
                       self.cap, self.inverse)
         self.seconds["subgroup_walk_s"] = perf_counter() - start
@@ -406,22 +406,24 @@ class _Orbit:
         ``weights[i]`` the component's weight, so dedup hashes bytes.  Its
         components are in the order of their int letters, then ``i``, so a
         node lifts to the ``b_key`` of its multicurve.  Each image comes
-        from the twist's ``words._image_kernel``.  On an exact surface a
-        new node's traces are taken through the twisted table of the twist
-        that reached it, along its parent's letters: tr rho(t(w)) =
-        tr (rho o t)(w).  A float surface measures the node's own letters,
-        one letter per step, so no value moves by an ulp.
+        from the twist's ``words._image_kernel``.  B(seed) keeps the seed's
+        value.  On an exact surface a new node's traces are taken through
+        the twisted table of the twist that reached it, along its parent's
+        letters: tr rho(t(w)) = tr (rho o t)(w).  A float surface measures
+        the node's own letters through a per-letter table built only there,
+        so no value moves by an ulp.
         """
         start = perf_counter()
         surface, twists = self.surface, self.twists
-        b0 = self.seed_record[1]
+        v0, b0 = self.seed_record
         weights = sorted({w for _, w in b0})
         float_weights = [float(w) for w in weights]
         area = currents.area(self.seed)[0]
         kernels = [words._image_kernel(t) for t in twists]
-        letter_table = geometry._byte_letter_matrices(surface)
-        tables = ([geometry._twisted_pairs(t.images, surface) for t in twists]
-                  if surface.exact else None)
+        if surface.exact:
+            tables = [geometry._twisted_pairs(t.images, surface) for t in twists]
+        else:
+            tables, letter_table = None, geometry._byte_letter_matrices(surface)
 
         def act(t_idx, node):
             image = kernels[t_idx]
@@ -433,7 +435,7 @@ class _Orbit:
             return tuple((im, i) for im, i, _ in images), (t_idx, [src for *_, src in images])
 
         def record(node, hint):
-            if hint is None or tables is None:
+            if tables is None:
                 traces = [geometry._trace(letters, letter_table) for letters, _ in node]
             else:
                 t_idx, sources = hint
@@ -441,10 +443,10 @@ class _Orbit:
             length = currents._length(
                 ((float_weights[i], t, words._Spelled(letters))
                  for (letters, i), t in zip(node, traces)), surface)
-            return (currents._value(self.functional, length, area),)
+            return (currents.functional_value(self.functional, length, area),)
 
         node0 = tuple((words._encode(letters), weights.index(w)) for letters, w in b0)
-        found = _walk(node0, act, record, self.margin * self.L,
+        found = _walk(node0, (v0,), act, record, self.margin * self.L,
                       self.cap // fiber_size, self.inverse)
         self.seconds["curve_walk_s"] = perf_counter() - start
         return (*found, weights)

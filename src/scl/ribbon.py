@@ -44,10 +44,6 @@ def order_from_strings(items) -> tuple:
     return tuple(out)
 
 
-def order_to_strings(sigma):
-    return ["%s%s" % (chr(ord("a") + lab), "+" if d > 0 else "-") for lab, d in sigma]
-
-
 def boundary_cycles(g, sigma):
     """Boundary walks of the thickened graph, as cyclic letter words.
 

@@ -50,11 +50,7 @@ def word_from_str(s: str) -> Word:
 
 
 def word_to_str(w) -> str:
-    out = []
-    for l in w:
-        ch = ascii_lowercase[abs(l) - 1]
-        out.append(ch if l > 0 else ch.upper())
-    return "".join(out)
+    return _encode(w).translate(_ASCII).decode("ascii")
 
 
 def check_rank(w, rank: int) -> None:
@@ -64,8 +60,13 @@ def check_rank(w, rank: int) -> None:
 
 
 def _encode(w) -> bytes:
-    """The bytes of a word's letters; letters are not checked."""
-    return bytes(map(_BYTE.__getitem__, w))
+    """The bytes of a word's letters; a letter that is 0 or beyond rank 26
+    raises ``InputError``."""
+    try:
+        return bytes(map(_BYTE.__getitem__, w))
+    except KeyError as exc:
+        raise InputError(f"letter {exc.args[0]!r} is not a generator of rank at most 26 "
+                         "or its inverse") from None
 
 
 def _decode(b) -> Word:

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,7 @@ import pytest
 import scl
 from scl import cli, mcg
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
@@ -311,3 +316,18 @@ def test_cli_output_is_byte_stable(capsys):
     for case in json.loads(GOLDEN.read_text()):
         code, out = run_cli(capsys, *case["argv"])
         assert (case["argv"], code, out) == (case["argv"], case["exit"], case["stdout"])
+
+
+def test_module_entry_point_runs_main():
+    # the console script calls cli.main, which the in-process tests skip
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "scl.cli", "--no-meta", "verify-example"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_version_is_the_pyproject_version():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    assert scl.__version__ == re.search(r'^version = "([^"]+)"$', text, re.M).group(1)

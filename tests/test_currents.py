@@ -174,16 +174,3 @@ def test_parse_current_merges_equal_classes(torus):
     same = currents.parse_current("1:a;1/2:Bab", torus)
     assert len(same) == 1
     assert same.terms[0][1] == Fraction(3, 2)
-
-
-def test_multicurve_validation(torus):
-    with pytest.raises(InputError):
-        currents.check_multicurve(
-            currents.Multicurve.from_dict({words.conj_class(W("abab")): 1}), torus)
-    with pytest.raises(InputError):
-        currents.check_multicurve(
-            currents.Multicurve.from_dict({words.conj_class(W("abAB")): 1}), torus)
-    # ``ba`` is the class ``ab`` written out of canonical form
-    with pytest.raises(InputError, match="canonical"):
-        currents.check_multicurve(
-            currents.Multicurve(items=((words.ConjClass(W("ba")), 1),)), torus)

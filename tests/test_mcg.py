@@ -4,6 +4,7 @@ import math
 import time
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,7 +507,22 @@ def test_float_surface_values_are_the_letterwise_ones(text, spec, L):
     assert ball.elements
     for value, b_key in ball.elements.values():
         mc = currents.Multicurve(items=tuple((words.ConjClass(c), w) for c, w in b_key))
-        assert value == currents.functional_value(spec, mc, area, ninefold)
+        assert value == currents.functional_value(
+            spec, currents.length_gc(mc, ninefold), area)
+
+
+@pytest.mark.parametrize("text, L", [("1:aa,b", 12.0), ("1:aa,b", 3.0), ("1:a", 12.0)])
+def test_the_seed_is_valued_once(torus, text, L):
+    # the lifted ball (L = 12) and the subgroup walk (1:aa,b at L = 3,
+    # below the seed's value) both start from the seed's one record, and an
+    # exact surface steps no curve one letter at a time
+    seed = currents.parse_current(text, torus)
+    with mock.patch.object(currents, "evaluate", wraps=currents.evaluate) as evaluate, \
+            mock.patch.object(geometry, "_byte_letter_matrices",
+                              wraps=geometry._byte_letter_matrices) as letter_table:
+        mcg.orbit_ball(seed, (1, 0), L, surface=torus)
+    assert sum(list(c.args[1]) == list(seed.terms) for c in evaluate.call_args_list) == 1
+    assert letter_table.call_count == 0
 
 
 def test_curve_walk_pins_the_aab_ball_at_50(torus):
@@ -555,7 +571,8 @@ def test_orbit_ball_members_are_margin_stable(torus, text, L):
     minima = 0
     for b_key, value in values.items():
         mc = currents.Multicurve(items=tuple((words.ConjClass(c), w) for c, w in b_key))
-        below = [currents.functional_value((1, 0), mcg.act_on_multicurve(t, mc), area, torus)
+        below = [currents.functional_value(
+                     (1, 0), currents.length_gc(mcg.act_on_multicurve(t, mc), torus), area)
                  < value for t in mcg.twist_generators(torus)]
         if not any(below):
             assert value == least, b_key

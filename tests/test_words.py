@@ -296,6 +296,25 @@ def test_byte_letters_round_trip_in_key_order():
     assert str(words._Spelled(words._encode(W("aabAzBZ")))) == "aabAzBZ"
 
 
+def test_every_letter_spells_as_its_ascii_letter():
+    for g, ch in enumerate("abcdefghijklmnopqrstuvwxyz", start=1):
+        assert words.word_to_str((g,)) == ch
+        assert words.word_to_str((-g,)) == ch.upper()
+
+
+@pytest.mark.parametrize("bad", [0, 27, -27])
+def test_a_letter_beyond_the_alphabet_is_named(torus, bad):
+    # letters run over +-1..+-26, one per ASCII letter; anything else is
+    # an input error that names it, not a wrong spelling or a KeyError
+    with pytest.raises(InputError, match=f"letter {bad} "):
+        words.word_to_str((1, bad))
+    with pytest.raises(InputError, match=f"letter {bad} "):
+        words.conj_class((bad, 1))
+    foreign = currents.Multicurve(items=((words.ConjClass((1, bad)), 1),))
+    with pytest.raises(InputError, match=f"letter {bad} "):
+        mcg.act_on_multicurve(mcg.twist_generators(torus)[0], foreign)
+
+
 @given(st.lists(letters, max_size=12), st.lists(letters, max_size=12))
 def test_byte_order_is_the_canonical_letter_order(u, v):
     # equal-length byte words compare as their letter orders, so the least
