@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from . import currents, geometry, words
@@ -120,13 +121,7 @@ def fiber_histogram(ball: OrbitBall) -> dict:
             "fiber statistics need a seed with nonzero boundary image")
     if not ball.frontier_exhausted:
         raise InputError("fiber statistics need a frontier-exhausted ball")
-    sizes = {}
-    for _, _, b_key in ball.members():
-        sizes[b_key] = sizes.get(b_key, 0) + 1
-    hist = {}
-    for size in sizes.values():
-        hist[size] = hist.get(size, 0) + 1
-    return hist
+    return dict(Counter(Counter(b_key for _, _, b_key in ball.members()).values()))
 
 
 def christoffel_word(p: int, q: int):

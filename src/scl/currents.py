@@ -6,9 +6,12 @@ supported on primitive non-peripheral classes.  The current itself is
 never materialized as a measure: everything downstream factors through
 the boundary projection, the Euler characteristic, and lengths.
 
-Weights are exact ``Fraction``s throughout.  The half weight each
-boundary walk contributes is structural: it is what makes the projection
-restrict to the identity on multicurves.
+Weights are exact ``Fraction``s throughout.  One constructor,
+:func:`_weighted_sum`, adds up every weighted sum: ``Multicurve.from_terms``
+and ``RationalSubsetCurrent.from_terms`` merge equal items through it, and
+the boundary map B is ``from_terms`` over the boundary walks of each term.
+The half weight each boundary walk contributes is structural: it is what
+makes the projection restrict to the identity on multicurves.
 
 A current's value is :func:`functional_value`, alpha * length + beta *
 area, on the weighted length of its boundary image B: ``length_gc(B)`` in
@@ -34,9 +37,18 @@ def _as_positive_fraction(w) -> Fraction:
     return f
 
 
+def _weighted_sum(pairs, order) -> tuple:
+    """The one weighted sum: equal items of the ``(item, weight)`` pairs
+    merged, their positive weights added, sorted by ``order(item)``."""
+    acc = {}
+    for x, w in pairs:
+        acc[x] = acc.get(x, 0) + _as_positive_fraction(w)
+    return tuple(sorted(acc.items(), key=lambda xw: order(xw[0])))
+
+
 @dataclass(frozen=True)
 class Multicurve:
-    """Rational weighted multicurve; zero is the empty sum.
+    """Rational weighted multicurve; zero is the empty sum, ``from_terms([])``.
 
     ``items`` is sorted by class letters, one entry per primitive class.
     """
@@ -44,15 +56,8 @@ class Multicurve:
     items: tuple  # ((ConjClass, Fraction), ...)
 
     @classmethod
-    def from_dict(cls, weights: dict) -> "Multicurve":
-        items = tuple(sorted(
-            ((c, _as_positive_fraction(w)) for c, w in weights.items() if w != 0),
-            key=lambda cw: cw[0].letters))
-        return cls(items=items)
-
-    @classmethod
-    def zero(cls) -> "Multicurve":
-        return cls(items=())
+    def from_terms(cls, pairs) -> "Multicurve":
+        return cls(items=_weighted_sum(pairs, lambda c: c.letters))
 
     def is_zero(self) -> bool:
         return not self.items
@@ -62,10 +67,7 @@ class Multicurve:
         return Multicurve(items=tuple((c, w * factor) for c, w in self.items))
 
     def __add__(self, other: "Multicurve") -> "Multicurve":
-        acc = dict(self.items)
-        for c, w in other.items:
-            acc[c] = acc.get(c, 0) + w
-        return Multicurve.from_dict(acc)
+        return Multicurve.from_terms(self.items + other.items)
 
     @property
     def key(self) -> tuple:
@@ -82,11 +84,7 @@ class RationalSubsetCurrent:
 
     @classmethod
     def from_terms(cls, pairs) -> "RationalSubsetCurrent":
-        acc = {}
-        for h, w in pairs:
-            acc[h] = acc.get(h, 0) + _as_positive_fraction(w)
-        items = tuple(sorted(acc.items(), key=lambda hw: hw[0].key))
-        return cls(terms=items)
+        return cls(terms=_weighted_sum(pairs, lambda h: h.key))
 
     @classmethod
     def of_subgroup(cls, h: SubgroupClass, weight=1) -> "RationalSubsetCurrent":
@@ -113,21 +111,15 @@ def subgroup_boundary(h: SubgroupClass, surface) -> Multicurve:
     inverse walks, so it projects to its own class with full weight, and
     a complete cover has all-cusp boundary and projects to zero.
     """
-    acc = {}
-    for root, kind, power in boundary_report(h, surface).cycles:
-        if kind == "cusp":
-            continue
-        acc[root] = acc.get(root, 0) + Fraction(power, 2)
-    return Multicurve.from_dict(acc)
+    return Multicurve.from_terms((root, Fraction(power, 2))
+                                 for root, kind, power in boundary_report(h, surface).cycles
+                                 if kind != "cusp")
 
 
 def boundary_projection(eta: RationalSubsetCurrent, surface) -> Multicurve:
     """Q-linear extension of the subgroup boundary map."""
-    acc = {}
-    for h, w in eta.terms:
-        for c, bw in subgroup_boundary(h, surface).items:
-            acc[c] = acc.get(c, 0) + w * bw
-    return Multicurve.from_dict(acc)
+    return Multicurve.from_terms((c, w * bw) for h, w in eta.terms
+                                 for c, bw in subgroup_boundary(h, surface).items)
 
 
 def _length(weighted_traces, surface) -> float:

@@ -272,20 +272,30 @@ def _strings(data, key, default=None):
     return items
 
 
+def _known_keys(data, allowed, where):
+    """Raise naming the first key of ``data`` outside ``allowed``."""
+    for key in data:
+        if key not in allowed:
+            raise InputError(f"{where}: unknown key {key!r}")
+
+
 def surface_from_dict(data) -> SurfaceStructure:
-    """Load the documented surface-config JSON object; any other shape is
-    an InputError."""
+    """Load the documented surface-config JSON object; any other shape,
+    an unknown key included, is an InputError."""
     if not isinstance(data, dict):
         raise InputError("surface config must be a JSON object")
+    _known_keys(data, ("name", "genus", "cusps", "ribbon_order", "peripherals", "matrices",
+                       "mcg_generators"), "surface config")
     name = _field(data, "name", str, "user-surface")
     genus = _field(data, "genus", int)
     cusps = _field(data, "cusps", int)
     sigma = ribbon.order_from_strings(_strings(data, "ribbon_order"))
     peripherals = tuple(map(words.word_from_str, _strings(data, "peripherals")))
     matrices = _field(data, "matrices", dict)
+    letters = [chr(ord("a") + i) for i in range(2 * genus + cusps - 1)]
+    _known_keys(matrices, letters, "matrices")
     mats = []
-    for i in range(2 * genus + cusps - 1):
-        letter = chr(ord("a") + i)
+    for letter in letters:
         if letter not in matrices:
             raise InputError(f"matrices: missing generator {letter!r}")
         m = matrices[letter]
@@ -297,6 +307,7 @@ def surface_from_dict(data) -> SurfaceStructure:
     for entry in _field(data, "mcg_generators", list, []):
         if not isinstance(entry, dict):
             raise InputError(f"mcg_generators entry {entry!r} is not an object")
+        _known_keys(entry, ("images", "label"), "mcg_generators entry")
         images = tuple(map(words.word_from_str, _strings(entry, "images")))
         mcg_images.append((images, _field(entry, "label", str, "")))
     return SurfaceStructure(

@@ -110,11 +110,8 @@ def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> Subgr
 
 def act_on_multicurve(phi: words.Automorphism, mc: Multicurve) -> Multicurve:
     image = words._image_kernel(phi)
-    acc = {}
-    for c, w in mc.items:
-        img = words.ConjClass(words._decode(image(words._encode(c.letters))))
-        acc[img] = acc.get(img, 0) + w
-    return Multicurve.from_dict(acc)
+    return Multicurve.from_terms(
+        (words.ConjClass(words._decode(image(words._encode(c.letters)))), w) for c, w in mc.items)
 
 
 def act_on_current(phi: words.Automorphism, eta: RationalSubsetCurrent,
@@ -261,6 +258,7 @@ class _Orbit:
         """The element key of ``(class key, weight)`` pairs."""
         if self.mode == "J":
             return tuple(term_pairs)
+        # the seed's weights are checked; _weighted_sum would recheck them
         acc = {}
         for k, w in term_pairs:
             acc[k] = acc.get(k, 0) + w

@@ -77,7 +77,7 @@ def random_multicurve(rng, surface, max_classes=4, max_len=10):
     if not weights:
         from fractions import Fraction
         weights = {words.conj_class(words.word_from_str("a")): Fraction(1)}
-    return currents.Multicurve.from_dict(weights)
+    return currents.Multicurve.from_terms(weights.items())
 
 
 def random_mapping_class(rng, surface, max_twists=6):

@@ -6,6 +6,7 @@ carries the same information).  All tolerances are asserted; the stated
 time budgets are printed for inspection.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -181,6 +182,16 @@ def test_criterion_08_subgroup_counting(torus, big_ball):
     _verdict(8, True,
              "ball %d elements, slope %.3f (r2 %.5f), constant fiber size %d" %
              (n, fit.slope, fit.r2, fiber_size), t0)
+
+
+def test_big_ball_is_pinned(big_ball):
+    # criterion 8's ball, member for member: any change of key, weight or
+    # value float in the curve walk or the lift moves this digest
+    digest = hashlib.sha256(repr((big_ball.members(), big_ball.frontier_exhausted)).encode())
+    assert digest.hexdigest() == \
+        "888aa7693f9d4a69fd5b279160241d33906d1184482b251d8baa72610ed98f46"
+    counts = tuple(big_ball.stats[name] for name in ("seen", "explored", "members"))
+    assert counts == (47304, 23652, 10440)
 
 
 def _swap_counts(torus, seed_text, limit):

@@ -39,6 +39,23 @@ def test_fold_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    ("low-index --rank 2 --k 9", 4, "resource cap: index 9 above cap 8"),
+    ("--max-index 0 low-index --rank 2 --k 3", 2, "--max-index must be positive"),
+    ("--max-ball 0 orbit-count --seed 1:a --L 5", 2, "--max-ball must be positive"),
+    ("fold --gens ,", 2, "no generators in ','"),
+    ("orbit-count --seed 1:a --L 5 --functional 1,2,3", 2,
+     "bad functional '1,2,3'; expected lsc|area|la|alpha,beta"),
+    ("orbit-count --seed 1:a --L 5 --functional x,1", 2, "bad functional weights in 'x,1'"),
+    ("area --current 1", 2, "bad current term '1'; expected weight:gens"),
+    ("area --current ;", 2, "empty current literal"),
+])
+def test_error_exits(capsys, argv, code, message):
+    assert cli.run(argv.split()) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"scl: {message}\n")
+
+
 def test_boundary(capsys):
     code, payload = run_json(capsys, "boundary", "--gens", "aa,b")
     assert code == 0
@@ -291,6 +308,9 @@ def test_surface_file(tmp_path, capsys):
         {**config, "mcg_generators": [5]},
         {**config, "mcg_generators": [*twists[:3], {"images": "ab"}]},
         {**config, "mcg_generators": [*twists[:3], {"images": ["a", "ab"], "label": 7}]},
+        {**config, "matrices": {**config["matrices"], "c": [[5, 0], [0, 7]], "zz": "junk"}},
+        {**config, "mcg_generator": [twists[0], twists[2]]},
+        {**config, "mcg_generators": [*twists[:3], {**twists[3], "lable": "tb'"}]},
     ]
     for bad in malformed:
         path.write_text(json.dumps(bad))

@@ -54,11 +54,21 @@ def test_boundary_projection_of_power_scales(torus, cyclic_a):
 
 def test_length_gc(torus):
     la = 2.0 * math.acosh(1.5)
-    mc = currents.Multicurve.from_dict({words.conj_class(W("a")): 1})
+    mc = currents.Multicurve.from_terms({words.conj_class(W("a")): 1}.items())
     assert currents.length_gc(mc, torus) == pytest.approx(la, rel=1e-12)
-    assert currents.length_gc(currents.Multicurve.zero(), torus) == 0.0
+    assert currents.length_gc(currents.Multicurve.from_terms([]), torus) == 0.0
     doubled = mc.scale(2)
     assert currents.length_gc(doubled, torus) == pytest.approx(2 * la, rel=1e-12)
+
+
+def test_multicurve_sum_merges_sorts_and_rejects_nonpositive_weights():
+    a, b = words.conj_class(W("a")), words.conj_class(W("b"))
+    mc = currents.Multicurve.from_terms([(b, 1), (a, Fraction(1, 2)), (b, Fraction(1, 3))])
+    assert mc.items == ((a, Fraction(1, 2)), (b, Fraction(4, 3)))
+    assert mc + mc == mc.scale(2)
+    for bad in (0, -1):
+        with pytest.raises(InputError):
+            currents.Multicurve.from_terms([(a, 1), (b, bad)])
 
 
 def test_length_sc_examples(torus, cyclic_a, cover2):

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,17 @@ def test_surface_json_round_trip(torus):
     s = geometry.surface_from_dict(payload)
     assert geometry.validate(s) == []
     assert not s.exact
+
+
+def test_readme_surface_config_is_the_committed_torus():
+    # the README's example config is tests/data/modular_torus.json, and it
+    # loads to the built-in surface
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text().split("## Surface configs", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = root / "tests" / "data" / "modular_torus.json"
+    assert json.loads(block) == json.loads(path.read_text())
+    assert geometry.surface_from_file(str(path)) == geometry.modular_torus()
 
 
 def test_surface_json_missing_field():

@@ -143,10 +143,10 @@ def test_act_on_subgroup_matches_basis_action(rng, torus):
 
 def test_act_on_multicurve(torus, twists):
     ta = twists["ta"]
-    mc = currents.Multicurve.from_dict({words.conj_class(W("a")): 1})
+    mc = currents.Multicurve.from_terms({words.conj_class(W("a")): 1}.items())
     assert mcg.act_on_multicurve(ta, mc) == mc
-    mb = currents.Multicurve.from_dict({words.conj_class(W("b")): Fraction(3, 2)})
-    expect = currents.Multicurve.from_dict({words.conj_class(W("ab")): Fraction(3, 2)})
+    mb = currents.Multicurve.from_terms({words.conj_class(W("b")): Fraction(3, 2)}.items())
+    expect = currents.Multicurve.from_terms({words.conj_class(W("ab")): Fraction(3, 2)}.items())
     assert mcg.act_on_multicurve(ta, mb) == expect
 
 
