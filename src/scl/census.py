@@ -14,27 +14,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 
 from . import currents, geometry, words
-from .errors import ConfigError, InputError, LemmaHypothesisError
+from .errors import ConfigError, InputError, LemmaHypothesisError, Record
 from .mcg import OrbitBall
 
 
-@dataclass(frozen=True)
-class CensusTable:
-    """(L, count) rows with nondecreasing counts, plus run metadata."""
+class CensusTable(Record):
+    """(L, count) ``rows`` with nondecreasing counts, plus the run's ``meta``
+    dict."""
 
-    rows: tuple
-    meta: dict
+    _fields = ("rows", "meta")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r2: float
-    window: tuple
+class FitResult(Record):
+    """Least-squares line of log N against log L over ``window``."""
+
+    _fields = ("slope", "intercept", "r2", "window")
 
 
 def _table(kind, surface, rows, **meta) -> CensusTable:

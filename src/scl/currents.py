@@ -21,12 +21,11 @@ area, on the weighted length of its boundary image B: ``length_gc(B)`` in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import geometry, graphs, ribbon, words
-from .errors import InputError
+from .errors import InputError, Record
 from .graphs import SubgroupClass
 
 
@@ -46,14 +45,14 @@ def _weighted_sum(pairs, order) -> tuple:
     return tuple(sorted(acc.items(), key=lambda xw: order(xw[0])))
 
 
-@dataclass(frozen=True)
-class Multicurve:
+class Multicurve(Record):
     """Rational weighted multicurve; zero is the empty sum, ``from_terms([])``.
 
-    ``items`` is sorted by class letters, one entry per primitive class.
+    ``items`` is sorted by class letters, one ``(ConjClass, Fraction)``
+    entry per primitive class.
     """
 
-    items: tuple  # ((ConjClass, Fraction), ...)
+    _fields = ("items",)
 
     @classmethod
     def from_terms(cls, pairs) -> "Multicurve":
@@ -76,11 +75,11 @@ class Multicurve:
         return tuple((c.letters, w) for c, w in self.items)
 
 
-@dataclass(frozen=True)
-class RationalSubsetCurrent:
-    """Finite positive-rational sum of subgroup classes (sorted by key)."""
+class RationalSubsetCurrent(Record):
+    """Finite positive-rational sum of subgroup classes: ``terms`` holds
+    ``(SubgroupClass, Fraction)`` pairs sorted by key."""
 
-    terms: tuple  # ((SubgroupClass, Fraction), ...)
+    _fields = ("terms",)
 
     @classmethod
     def from_terms(cls, pairs) -> "RationalSubsetCurrent":

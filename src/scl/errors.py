@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the value-record base shared across the package."""
+
+from operator import attrgetter
 
 
 class SclError(Exception):
@@ -49,3 +51,55 @@ class ResourceLimitError(SclError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class Record:
+    """Immutable value with the fields named in ``_fields``, in order.
+
+    Built from positional or keyword values, with ``_defaults`` for the
+    fields left out; equal only to a record of its own type with equal
+    fields; hashed as the tuple of its fields; shown as
+    ``Name(field=value, ...)``.  Assignment raises ``AttributeError``.
+    It is what a frozen dataclass would give, without importing
+    ``dataclasses``, whose ``inspect`` import was most of scl's start-up.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = attrgetter(*cls._fields)  # which returns one field bare, not in a tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args))
+        values = {**self._defaults, **kwargs, **given}
+        if (len(args) > len(self._fields) or given.keys() & kwargs.keys()
+                or values.keys() != set(self._fields)):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {self._fields}, "
+                            f"got {len(args)} positional and {sorted(kwargs)} by keyword")
+        for f in self._fields:
+            object.__setattr__(self, f, values[f])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__qualname__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a {type(self).__qualname__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from . import graphs, ribbon, words
@@ -19,27 +18,24 @@ from .errors import (
     DiscretenessError,
     InputError,
     ParabolicError,
+    Record,
     TrivialWordError,
 )
 
 PARABOLIC_TOL = 1e-9  # only used for non-integer user surfaces
 
 
-@dataclass(frozen=True)
-class SurfaceStructure:
+class SurfaceStructure(Record):
     """A marked cusped hyperbolic surface of genus g with r >= 1 cusps.
 
     ``matrices`` holds one determinant-1 2x2 matrix per generator as a
-    ((a, b), (c, d)) tuple with int or float entries.
+    ((a, b), (c, d)) tuple with int or float entries.  ``mcg_images``
+    optionally holds ``((word, ...), label)`` pairs for user surfaces.
     """
 
-    name: str
-    genus: int
-    cusps: int
-    matrices: tuple
-    peripheral_words: tuple
-    ribbon_order: tuple
-    mcg_images: tuple = ()  # optional ((word, ...), label) pairs for user surfaces
+    _fields = ("name", "genus", "cusps", "matrices", "peripheral_words", "ribbon_order",
+               "mcg_images")
+    _defaults = {"mcg_images": ()}
 
     @property
     def rank(self):
@@ -255,18 +251,21 @@ def _parse_matrix_entry(x):
     raise InputError(f"matrix entry {x!r} is not a number")
 
 
-def _field(data, key, kind, default=None):
-    """``data[key]`` (or ``default``), which must be a JSON ``kind``."""
-    value = data.get(key, default)
-    if value is None:
+def _field(data, key, kind, *default):
+    """``data[key]``, which must be a JSON ``kind`` (``null`` is not one);
+    an absent key reads as ``default``, or is missing if none is given."""
+    if key not in data:
+        if default:
+            return default[0]
         raise InputError(f"surface config missing field {key!r}")
+    value = data[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InputError(f"surface config field {key!r} must be a {kind.__name__}: {value!r}")
     return value
 
 
-def _strings(data, key, default=None):
-    items = _field(data, key, list, default)
+def _strings(data, key):
+    items = _field(data, key, list)
     if not all(isinstance(x, str) for x in items):
         raise InputError(f"surface config field {key!r} must list strings, got {items!r}")
     return items

@@ -10,12 +10,12 @@ conjugacy invariant.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from . import words
 from .errors import (
     InputError,
     PeripheralSubgroupError,
+    Record,
     ResourceLimitError,
     TrivialSubgroupError,
 )
@@ -360,12 +360,26 @@ def spanning_generators(g: CoreGraph):
     return gens
 
 
-@dataclass(frozen=True, slots=True)
-class SubgroupClass:
-    """Conjugacy class of a finitely generated subgroup: the canonical key
-    of its basepoint-free core graph, which ``from_key`` decodes."""
+class SubgroupClass(Record):
+    """Conjugacy class of a finitely generated subgroup: the canonical
+    ``key`` bytes of its basepoint-free core graph, which ``from_key``
+    decodes."""
 
-    key: bytes
+    __slots__ = _fields = ("key",)
+
+    # built, hashed and compared per cover: spelled out, __init__ and
+    # __eq__ cost what the frozen dataclass's did, a quarter and a third of
+    # the generic Record methods (an __eq__ needs its own __hash__)
+    def __init__(self, key):
+        object.__setattr__(self, "key", key)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.key,))
 
     @property
     def euler_char(self):

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
 from . import currents, geometry, graphs, words
 from .currents import Multicurve, RationalSubsetCurrent
-from .errors import ConfigError, InputError, InternalConsistencyError, ResourceLimitError
+from .errors import ConfigError, InputError, InternalConsistencyError, Record, ResourceLimitError
 from .graphs import SubgroupClass
 
 DEFAULT_BALL_CAP = 1_000_000
@@ -120,8 +119,7 @@ def act_on_current(phi: words.Automorphism, eta: RationalSubsetCurrent,
         (act_on_subgroup(phi, h, surface), w) for h, w in eta.terms)
 
 
-@dataclass
-class OrbitBall:
+class OrbitBall(Record):
     """Explored region of a mapping-class orbit of rational currents.
 
     ``elements`` maps a canonical element key to ``(value, b_key)``, where
@@ -149,15 +147,12 @@ class OrbitBall:
     and the lift (``lift_s``); a step that did not run reads 0.0.
     """
 
-    seed: RationalSubsetCurrent
-    functional: tuple
-    cutoff: float
-    margin: float
-    surface: object
-    mode: str
-    elements: dict
-    frontier_exhausted: bool
-    stats: dict = field(default_factory=dict)
+    _fields = ("seed", "functional", "cutoff", "margin", "surface", "mode", "elements",
+               "frontier_exhausted", "stats")
+    # a ball is the one mutable record, so it has no hash
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def members(self, limit=None):
         """Deterministically ordered (key, value, b_key) rows inside the ball."""

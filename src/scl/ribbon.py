@@ -12,10 +12,8 @@ for an incoming one; a dart is ``(edge_id, direction)`` where direction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import words
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError, Record
 
 
 def check_order(sigma, rank: int) -> list:
@@ -91,8 +89,7 @@ def boundary_cycles(g, sigma):
     return cycles
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(Record):
     """Classified boundary of a thickened core graph.
 
     ``cycles`` holds ``(root_class, kind, power)`` per boundary walk: the
@@ -100,9 +97,7 @@ class BoundaryReport:
     peripheral, else "geodesic".
     """
 
-    cycles: tuple
-    euler_char: int
-    genus: int
+    _fields = ("cycles", "euler_char", "genus")
 
     @property
     def geodesic_cycles(self):

@@ -19,11 +19,10 @@ and maps them through :func:`_image_kernel`, which ends in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 from string import ascii_lowercase
 
-from .errors import InputError, TrivialWordError
+from .errors import InputError, Record, TrivialWordError
 
 Word = tuple  # tuple of nonzero ints
 
@@ -109,12 +108,25 @@ def concat(*ws) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class ConjClass:
-    """Canonical unoriented cyclic word; build via :func:`conj_class` only,
-    or from letters it returned."""
+class ConjClass(Record):
+    """Canonical unoriented cyclic word, the tuple ``letters``; build via
+    :func:`conj_class` only, or from letters it returned."""
 
-    letters: Word
+    __slots__ = _fields = ("letters",)
+
+    # built and compared per boundary walk: spelled out, __init__ and
+    # __eq__ cost what the frozen dataclass's did, a quarter and a third of
+    # the generic Record methods (an __eq__ needs its own __hash__)
+    def __init__(self, letters):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def __str__(self):
         return word_to_str(self.letters)
@@ -163,14 +175,14 @@ def primitive_root(c: ConjClass):
     raise AssertionError("unreachable: every word has period len(w)")
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
-    """Endomorphism given by generator images; ``label`` records provenance
-    and plays no algebraic role.  :func:`scl.mcg.mapping_class` checks that
-    it is a peripheral-preserving automorphism, i.e. a mapping class."""
+class Automorphism(Record):
+    """Endomorphism given by generator ``images``, one Word per generator;
+    ``label`` records provenance and plays no algebraic role.
+    :func:`scl.mcg.mapping_class` checks that it is a peripheral-preserving
+    automorphism, i.e. a mapping class."""
 
-    images: tuple  # one Word per generator
-    label: str = ""
+    __slots__ = _fields = ("images", "label")
+    _defaults = {"label": ""}
 
     @property
     def rank(self):

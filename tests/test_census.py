@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -146,8 +145,9 @@ def test_scc_classes_on_a_float_surface_match_the_letterwise_walk(torus):
     # the dyadic conjugate of the modular torus by diag(2, 1/2) takes the
     # float path; products associated in another order may move a length
     # by an ulp, never a slope or a class
-    dyadic = dataclasses.replace(
-        torus, name="dyadic", matrices=(((1, 4), (0.25, 2)), ((1, -4), (-0.25, 2))))
+    dyadic = geometry.SurfaceStructure(
+        "dyadic", torus.genus, torus.cusps, (((1, 4), (0.25, 2)), ((1, -4), (-0.25, 2))),
+        torus.peripheral_words, torus.ribbon_order)
     assert not dyadic.exact
     got = sorted(census.scc_classes(dyadic, 60.0))
     want = _letterwise_scc_classes(dyadic, 60.0)
@@ -157,8 +157,10 @@ def test_scc_classes_on_a_float_surface_match_the_letterwise_walk(torus):
 
 
 def test_slope_oracle_needs_a_punctured_torus(torus):
-    wide = dataclasses.replace(torus, name="wide", genus=2, matrices=torus.matrices * 2)
-    twice = dataclasses.replace(torus, name="twice-punctured", cusps=2)
+    wide = geometry.SurfaceStructure("wide", 2, torus.cusps, torus.matrices * 2,
+                                     torus.peripheral_words, torus.ribbon_order)
+    twice = geometry.SurfaceStructure("twice-punctured", torus.genus, 2, torus.matrices,
+                                      torus.peripheral_words, torus.ribbon_order)
     for surface in (wide, twice):
         for run, grid in ((census.scc_classes, ()), (census.scc_census, ([10.0],)),
                           (census.mlz_census, ([10.0],))):

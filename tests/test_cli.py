@@ -311,6 +311,9 @@ def test_surface_file(tmp_path, capsys):
         {**config, "matrices": {**config["matrices"], "c": [[5, 0], [0, 7]], "zz": "junk"}},
         {**config, "mcg_generator": [twists[0], twists[2]]},
         {**config, "mcg_generators": [*twists[:3], {**twists[3], "lable": "tb'"}]},
+        {**config, "name": None},
+        {**config, "mcg_generators": None},
+        {**config, "mcg_generators": [*twists[:3], {**twists[3], "label": None}]},
     ]
     for bad in malformed:
         path.write_text(json.dumps(bad))

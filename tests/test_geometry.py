@@ -172,3 +172,26 @@ def test_readme_surface_config_is_the_committed_torus():
 def test_surface_json_missing_field():
     with pytest.raises(InputError):
         geometry.surface_from_dict({"genus": 1, "cusps": 1})
+
+
+@pytest.mark.parametrize("entry, key, kind", [
+    ({"name": None}, "name", "str"),
+    ({"mcg_generators": None}, "mcg_generators", "list"),
+    ({"mcg_generators": [{"images": ["a", "ab"], "label": None}]}, "label", "str"),
+])
+def test_surface_json_null_is_the_wrong_type_not_a_missing_field(entry, key, kind):
+    # the key is there, so the message names the type its value must have
+    path = Path(__file__).resolve().parent / "data" / "modular_torus.json"
+    payload = {**json.loads(path.read_text()), **entry}
+    with pytest.raises(InputError, match=rf"field '{key}' must be a {kind}: None$"):
+        geometry.surface_from_dict(payload)
+
+
+def test_surface_json_absent_field_is_its_default_or_missing():
+    path = Path(__file__).resolve().parent / "data" / "modular_torus.json"
+    payload = json.loads(path.read_text())
+    del payload["name"]
+    assert geometry.surface_from_dict(payload).name == "user-surface"
+    del payload["cusps"]
+    with pytest.raises(InputError, match="missing field 'cusps'"):
+        geometry.surface_from_dict(payload)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import time
@@ -497,8 +496,9 @@ def test_float_surface_values_are_the_letterwise_ones(text, spec, L):
     # associated in another order would move a value; the walk measures
     # each curve's own letters there, as length_gc does
     torus = geometry.modular_torus()
-    ninefold = dataclasses.replace(
-        torus, name="ninefold", matrices=(((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2))))
+    ninefold = geometry.SurfaceStructure(
+        "ninefold", torus.genus, torus.cusps, (((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2))),
+        torus.peripheral_words, torus.ribbon_order)
     assert not ninefold.exact
     seed = currents.parse_current(text, ninefold)
     spec = currents.parse_functional(spec)
