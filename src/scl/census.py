@@ -4,9 +4,9 @@ and the independent slope oracle for the once-punctured torus.
 The slope oracle parameterizes simple closed curves by coprime pairs via
 Christoffel words and walks the Stern-Brocot tree, so it never touches
 the orbit machinery it is used to cross-check.  A node is measured by
-one 2x2 product of its two parents' holonomy matrices (a Christoffel
-word is the product of its Farey parents' words), and only the slopes
-it keeps are turned into words and classes.
+the trace of the product of its two parents' holonomy matrices (a
+Christoffel word is the product of its Farey parents' words), and only
+the slopes it keeps are turned into words and classes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
+from operator import itemgetter
 
 from . import currents, geometry, words
 from .errors import ConfigError, InputError, LemmaHypothesisError, Record
@@ -145,12 +146,37 @@ def christoffel_word(p: int, q: int):
 
 
 def _check_slope_oracle(surface, limit: float) -> None:
+    """Raise unless the limit is finite and positive and the slope walk of
+    this surface finds every curve.
+
+    The walk prunes a subtree once traces pass the limit, which is sound
+    only if traces grow away from its root, the edge between the
+    triples (tr a, tr b, tr ab) and (tr a, tr b, tr aB).  By Bowditch
+    (1998, Markoff triples and quasifuchsian groups) the edges of the
+    trace tree of a punctured torus point to one sink, and traces grow
+    away from it.  The root edge is that sink when no edge leaving it
+    points back in: in both triples (x, y, z), flipping x or y through
+    Fricke's identity, x' = yz - x, lowers neither |x| nor |y|.  A marking
+    that fails this, such as b -> a^5 b on the modular torus, would give
+    a silently short count; b -> a^2 b fails it too and is refused,
+    though there the walk happens to be right.
+    """
     if not surface.is_punctured_torus:
         raise ConfigError(
             f"surface {surface.name!r} is not a once-punctured torus of rank 2; "
             "the slope oracle knows only its curves")
     if not 0 < limit < math.inf:
         raise InputError(f"limit must be finite and positive, got {limit}")
+    mats = surface._letter_matrices
+    x, y = mats[1][0] + mats[1][3], mats[2][0] + mats[2][3]
+    ab = geometry._product(mats[1], mats[2])
+    z = ab[0] + ab[3]
+    for zz in (z, x * y - z):
+        if abs(y * zz - x) < abs(x) or abs(x * zz - y) < abs(y):
+            raise ConfigError(
+                f"surface {surface.name!r}: the root (tr a, tr b, tr ab) = ({x}, {y}, {z}) "
+                "is not a local minimum of the trace tree, so the slope walk could miss "
+                "curves")
 
 
 def _census_lengths(surface, limit: float, grid):
@@ -159,12 +185,23 @@ def _census_lengths(surface, limit: float, grid):
     grid costs no L^2-sized walk."""
     _check_slope_oracle(surface, limit)
     grid = _checked_grid(grid, limit, "limit")
-    return [ell for _, ell in _slope_lengths(surface, limit)], grid
+    rows, measured = _slope_lengths(surface, limit)
+    return [ell for _, ell in rows], grid, measured
+
+
+def _trace_bound(limit: float) -> float:
+    """A trace bound past which a length is surely over ``limit``: the
+    trace of length ``limit`` with a relative margin of 1e-9, far above
+    the arccosh's rounding; ``inf`` once cosh overflows."""
+    try:
+        return 2.0 * math.cosh(limit / 2.0) * (1.0 + 1e-9)
+    except OverflowError:
+        return math.inf
 
 
 def _slope_lengths(surface, limit: float):
     """(slope, length) of every simple closed geodesic of length <= limit,
-    sorted by length then slope.
+    sorted by length then slope, and the number of slopes measured.
 
     Walks the Stern-Brocot tree of coprime pairs on the two branches
     (1, 0)-(0, 1) and (1, 0)-(0, -1).  The Christoffel word of a mediant
@@ -172,51 +209,79 @@ def _slope_lengths(surface, limit: float):
     node carries its holonomy matrix and one 2x2 product measures a
     child.  A subtree is pruned only after both children of an over-limit
     node are also seen over the limit, so trace monotonicity is verified
-    locally rather than assumed.
+    locally rather than assumed.  Those two children are measured in
+    place from their parents' matrices, and one is pushed only if it
+    comes out inside the limit.
+
+    A trace above 2 cosh(limit / 2), with room for the arccosh's rounding,
+    is over the limit with no length taken.  Every other trace goes
+    through ``checked_length``, which raises on a parabolic or elliptic
+    one.  A child's trace is summed as ``_product`` sums its diagonal, so
+    no length moves by an ulp on a float surface.
     """
     _check_slope_oracle(surface, limit)
+    bound = _trace_bound(limit)
+    checked_length, product = geometry.checked_length, geometry._product
     mats = surface._letter_matrices
     a, b, b_inv = mats[1], mats[2], mats[-2]
     out = []
     for slope, m in (((1, 0), a), ((0, 1), b)):
-        ell = geometry.checked_length(m[0] + m[3], surface, slope)
+        ell = checked_length(m[0] + m[3], surface, slope)
         if ell <= limit:
             out.append((slope, ell))
 
-    stack = [((1, 0), a, (0, 1), b, False), ((1, 0), a, (0, -1), b_inv, False)]
+    measured = 2
+    stack = [((1, 0), a, (0, 1), b), ((1, 0), a, (0, -1), b_inv)]
+    push = stack.append
     while stack:
-        left, lm, right, rm, over = stack.pop()
+        left, lm, right, rm = stack.pop()
+        m = product(lm, rm)
+        t = m[0] + m[3]
         slope = (left[0] + right[0], left[1] + right[1])
-        m = geometry._product(lm, rm)
-        ell = geometry.checked_length(m[0] + m[3], surface, slope)
-        if ell <= limit:
+        if abs(t) <= bound and (ell := checked_length(t, surface, slope)) <= limit:
+            measured += 1
             out.append((slope, ell))
-            stack.append((left, lm, slope, m, False))
-            stack.append((slope, m, right, rm, False))
-        elif not over:
-            stack.append((left, lm, slope, m, True))
-            stack.append((slope, m, right, rm, True))
-    out.sort(key=lambda row: (row[1], row[0]))
-    return out
+            push((left, lm, slope, m))
+            push((slope, m, right, rm))
+            continue
+        # over the limit: this slope and both children are measured here;
+        # the left child's subtree is pushed first, so the stack pops both
+        # subtrees in the order it would pop the two children
+        measured += 3
+        for x, xm, y, ym in ((left, lm, slope, m), (slope, m, right, rm)):
+            p, q, r, s = xm
+            e, f, g, h = ym
+            t = (p * e + q * g) + (r * f + s * h)
+            if abs(t) <= bound:
+                child = (x[0] + y[0], x[1] + y[1])
+                ell = checked_length(t, surface, child)
+                if ell <= limit:
+                    out.append((child, ell))
+                    cm = product(xm, ym)
+                    push((x, xm, child, cm))
+                    push((child, cm, y, ym))
+    out.sort(key=itemgetter(1, 0))
+    return out, measured
 
 
 def scc_classes(surface, limit: float):
     """Simple closed geodesics of length <= limit, via the slope oracle.
 
     The Stern-Brocot walk of ``_slope_lengths`` measures each slope by
-    one matrix product; only the kept slopes are turned into Christoffel
-    words and canonicalized.  Returns [(slope, class, length)] sorted by
-    length then slope.
+    the trace of one matrix product; only the kept slopes are turned into
+    Christoffel words and canonicalized.  Returns [(slope, class, length)]
+    sorted by length then slope.
     """
     return [(slope, words.conj_class(christoffel_word(*slope)), ell)
-            for slope, ell in _slope_lengths(surface, limit)]
+            for slope, ell in _slope_lengths(surface, limit)[0]]
 
 
 def scc_census(surface, limit: float, grid) -> CensusTable:
     """Counts of simple closed geodesics up to each grid length; an empty
     grid is an InputError."""
-    lengths, grid = _census_lengths(surface, limit, grid)
-    return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid])
+    lengths, grid, measured = _census_lengths(surface, limit, grid)
+    return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid],
+                  slopes_measured=measured)
 
 
 def mlz_census(surface, limit: float, grid):
@@ -227,11 +292,11 @@ def mlz_census(surface, limit: float, grid):
     over the curve census.  The ratio column estimates the Thurston
     measure of the unit length ball.
     """
-    lengths, grid = _census_lengths(surface, limit, grid)
+    lengths, grid, measured = _census_lengths(surface, limit, grid)
     rows = []
     ratios = []
     for L in grid:
         n = sum(int(L / ell) for ell in lengths[:bisect_right(lengths, L)])
         rows.append((L, n))
         ratios.append(n / (L * L))
-    return _table("mlz", surface, rows), ratios
+    return _table("mlz", surface, rows, slopes_measured=measured), ratios

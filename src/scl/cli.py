@@ -10,17 +10,16 @@ results are still emitted, flagged as not frontier-exhausted).
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
-import string
 import sys
+import time
 
 from . import __version__, census, currents, geometry, graphs, mcg, words
 from .errors import ConfigError, InputError, ResourceLimitError, SclError
 
 
 def _letter(lab: int) -> str:
-    return string.ascii_lowercase[lab]
+    return words._ALPHABET[lab]
 
 
 def _parse_gens(text: str):
@@ -67,7 +66,7 @@ def _meta(args) -> dict:
         "command": args.subcommand,
         "version": __version__,
         "params": params,
-        "generated": datetime.datetime.now().isoformat(timespec="seconds"),
+        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
 
@@ -189,7 +188,7 @@ def _cmd_fibers(args):
 
 
 def _cmd_low_index(args):
-    if not 1 <= args.rank <= len(string.ascii_lowercase):
+    if not 1 <= args.rank <= len(words._ALPHABET):
         raise InputError(f"--rank must be 1..26 (one letter per generator), got {args.rank}")
     covers = graphs.subgroups_of_index(args.rank, args.k, cap=args.max_index)
     _emit_json(args, {

@@ -37,6 +37,15 @@ class SurfaceStructure(Record):
                "mcg_images")
     _defaults = {"mcg_images": ()}
 
+    # hashed by every call of the subgroup_boundary cache, so the hash of
+    # the fields is taken once, like the tables below
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash(self._values(self))
+
     @property
     def rank(self):
         return len(self.matrices)

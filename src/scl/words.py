@@ -20,23 +20,24 @@ and maps them through :func:`_image_kernel`, which ends in it.
 from __future__ import annotations
 
 from operator import neg
-from string import ascii_lowercase
 
 from .errors import InputError, Record, TrivialWordError
 
 Word = tuple  # tuple of nonzero ints
 
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz"  # string.ascii_lowercase, without importing string
+
 # _BYTE[l] is the byte of letter l, so byte order is letter order;
 # _LETTER[b] is the letter of byte b, _INVERT maps a byte to its inverse's,
 # _INT_ORDER to a byte of the same rank among the int letters -26 < ... < 26
 _ORD, _BYTE = {}, {}
-for _i, _ch in enumerate(ascii_lowercase):
+for _i, _ch in enumerate(_ALPHABET):
     _ORD[_ch], _ORD[_ch.upper()] = _i + 1, -(_i + 1)
     _BYTE[_i + 1], _BYTE[-(_i + 1)] = _i + 1, _i + 27
 _LETTER = (0, *sorted(_BYTE, key=_BYTE.__getitem__))
 _INVERT = bytes([0, *(_BYTE[-l] for l in _LETTER[1:])]).ljust(256, b"\0")
 _INT_ORDER = bytes([0, *(l + 26 for l in _LETTER[1:])]).ljust(256, b"\0")
-_ASCII = (b"?" + ascii_lowercase.encode() + ascii_lowercase.upper().encode()).ljust(256, b"?")
+_ASCII = (b"?" + _ALPHABET.encode() + _ALPHABET.upper().encode()).ljust(256, b"?")
 
 
 def word_from_str(s: str) -> Word:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from scl import census, currents, geometry, graphs, mcg, words
 from scl.errors import ConfigError, InputError, LemmaHypothesisError
 
 W = words.word_from_str
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_christoffel_words():
@@ -154,6 +157,147 @@ def test_scc_classes_on_a_float_surface_match_the_letterwise_walk(torus):
     assert [row[:2] for row in got] == [row[:2] for row in want]
     for (_, _, ell), (_, _, ref) in zip(got, want):
         assert abs(ell - ref) <= 1e-12 * ref
+
+
+def _marked(torus, name, a, b):
+    # the modular torus's structure under another pair of matrices
+    return geometry.SurfaceStructure(name, torus.genus, torus.cusps, (a, b),
+                                     torus.peripheral_words, torus.ribbon_order)
+
+
+def _times(m, n):
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
+def _twisted(torus, k, which):
+    # the re-marking b -> a^k b, or a -> b^k a for which = "a"
+    a, b = torus.matrices
+    for _ in range(k):
+        if which == "a":
+            a = _times(b, a)
+        else:
+            b = _times(a, b)
+    return _marked(torus, f"{which}-twisted-{k}", a, b)
+
+
+def _conjugates(torus):
+    # by diag(2, 1/2), whose entries stay dyadic, and by diag(3, 1/3),
+    # whose entries 1/9 are not
+    return (_marked(torus, "dyadic", ((1, 4), (0.25, 2)), ((1, -4), (-0.25, 2))),
+            _marked(torus, "diag-3", ((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2))))
+
+
+def _pushed_walk(surface, limit):
+    # the slope walk with every node pushed: the children of an over-limit
+    # node are popped and measured by a full product and checked_length
+    mats = surface._letter_matrices
+    a, b = mats[1], mats[2]
+    out = []
+    for slope, m in (((1, 0), a), ((0, 1), b)):
+        ell = geometry.checked_length(m[0] + m[3], surface, slope)
+        if ell <= limit:
+            out.append((slope, ell))
+    measured = 2
+    stack = [((1, 0), a, (0, 1), b, False), ((1, 0), a, (0, -1), mats[-2], False)]
+    while stack:
+        left, lm, right, rm, over = stack.pop()
+        measured += 1
+        slope = (left[0] + right[0], left[1] + right[1])
+        m = geometry._product(lm, rm)
+        ell = geometry.checked_length(m[0] + m[3], surface, slope)
+        if ell <= limit:
+            out.append((slope, ell))
+            stack += [(left, lm, slope, m, False), (slope, m, right, rm, False)]
+        elif not over:
+            stack += [(left, lm, slope, m, True), (slope, m, right, rm, True)]
+    out.sort(key=lambda row: (row[1], row[0]))
+    return out, measured
+
+
+def test_slope_walk_equals_the_pushed_walk(torus):
+    # the same floats, not within a tolerance: the in-place children sum
+    # their traces as _product does, on the non-dyadic conjugate too
+    for surface in (torus, *_conjugates(torus)):
+        for limit in (0.5, 2.0, 4.0, 15.0, 30.0, 60.0, 90.0, 140.0):
+            assert census._slope_lengths(surface, limit) == _pushed_walk(surface, limit)
+
+
+def test_slope_walk_rows_are_pinned(torus):
+    # sha256 of repr of the (slope, length) rows on the modular torus
+    pins = {30.0: ("75c724ddbcd3d09354432205628710e569ce4b2381e838b84386385a40b92c43", 234),
+            90.0: ("59062dc702e132118cab90096493df16d4f55d45e469cf4979d1cf7666a21fd8", 2202),
+            140.0: ("d61baeaf3c93ce3cadacec283a8fa768a727c975104138df04ec93d5ef176fca", 5328)}
+    for limit, (digest, count) in pins.items():
+        rows, _ = census._slope_lengths(torus, limit)
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_slopes_measured_counts_every_child_checked(torus):
+    # 2 roots, 4,402 popped nodes and 4,404 children of over-limit nodes
+    assert census._slope_lengths(torus, 90.0)[1] == 8808
+    assert census.scc_census(torus, 90.0, [90.0]).meta["slopes_measured"] == 8808
+    table, _ = census.mlz_census(torus, 90.0, [4.0, 90.0])
+    assert table.meta["slopes_measured"] == 8808
+
+
+def test_only_slopes_under_the_trace_bound_take_a_length(torus, monkeypatch):
+    calls = []
+
+    def checked_length(t, surface, curve):
+        calls.append(curve)
+        return geometry.trace_length(t)
+
+    monkeypatch.setattr(geometry, "checked_length", checked_length)
+    rows, measured = census._slope_lengths(torus, 90.0)
+    # on the modular torus the bound is tight: every slope measured by a
+    # length is kept, a quarter of the slopes walked
+    assert sorted(calls) == sorted(slope for slope, _ in rows)
+    assert 4 * len(calls) == measured
+    assert census._trace_bound(90.0) > 2 * math.cosh(45.0)
+    assert census._trace_bound(1500.0) == math.inf
+
+
+def test_in_place_children_that_come_out_inside_the_limit(torus, monkeypatch):
+    # on a marking whose root is not the trace minimum, a child of an
+    # over-limit node can be inside the limit; with the marking check
+    # lifted, the walk still matches the pushed walk there
+    # there, on its conjugate by the shear [[1, 1/3], [0, 1]] too, where
+    # some kept children's lengths move if their traces are summed in
+    # another order
+    monkeypatch.setattr(census, "_check_slope_oracle", lambda surface, limit: None)
+    shear, unshear = ((1, 1 / 3), (0, 1)), ((1, -1 / 3), (0, 1))
+    for k in range(1, 7):
+        for which in "ab":
+            surface = _twisted(torus, k, which)
+            conjugate = _marked(torus, "sheared", *(_times(_times(shear, m), unshear)
+                                                    for m in surface.matrices))
+            for s in (surface, conjugate):
+                for limit in (2.0, 4.0, 8.0, 15.0):
+                    assert census._slope_lengths(s, limit) == _pushed_walk(s, limit)
+
+
+def test_slope_oracle_refuses_a_marking_whose_root_is_not_the_trace_minimum(torus):
+    # under b -> a^5 b the walk found 1 curve of length <= 4 where there
+    # are 6; the count of curves does not depend on the marking
+    for which in "ab":
+        for k in (2, 5, 10):
+            surface = _twisted(torus, k, which)
+            assert geometry.validate(surface) == []
+            for run, grid in ((census.scc_classes, ()), (census.scc_census, ([4.0],)),
+                              (census.mlz_census, ([4.0],))):
+                with pytest.raises(ConfigError, match="local minimum"):
+                    run(surface, 4.0, *grid)
+        for k in (0, 1):
+            surface = _twisted(torus, k, which)
+            for limit in (2.0, 4.0, 8.0, 15.0):
+                assert (len(census.scc_classes(surface, limit))
+                        == len(census.scc_classes(torus, limit)))
+    loaded = geometry.surface_from_file(str(DATA / "modular_torus.json"))
+    for surface in (loaded, *_conjugates(torus)):
+        assert len(census.scc_classes(surface, 15.0)) == 60
 
 
 def test_slope_oracle_needs_a_punctured_torus(torus):

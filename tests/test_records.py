@@ -145,10 +145,23 @@ def test_surface_caches_are_per_instance(torus):
     assert torus.peripheral_roots == dyadic.peripheral_roots
 
 
+def test_surface_hash_is_taken_once_and_equal_surfaces_hash_equal(torus):
+    # the subgroup_boundary cache hashes its surface on every call
+    twin = geometry.SurfaceStructure(*(getattr(torus, f) for f in torus._fields))
+    assert twin is not torus and twin == torus and hash(twin) == hash(torus)
+    assert "_hash" in vars(twin)
+    assert {torus: 1}[twin] == 1
+    assert hash(pickle.loads(pickle.dumps(twin))) == hash(twin)
+    other = geometry.SurfaceStructure("other", *(getattr(torus, f) for f in torus._fields[1:]))
+    assert other != torus and hash(other) == hash(tuple(getattr(other, f) for f in other._fields))
+
+
 def test_importing_scl_loads_no_introspection_modules():
     # dataclasses pulls in inspect, ast and dis: two thirds of scl's import
-    # time in a fresh process.  -S keeps site hooks out of the check.
-    heavy = ("dataclasses", "inspect", "ast", "dis")
+    # time in a fresh process.  string and datetime are not needed either:
+    # the alphabet is a literal and the meta time stamp comes from time.
+    # -S keeps site hooks out of the check.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "string", "datetime")
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import scl, scl.cli; "
             f"import json; print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
