@@ -3,8 +3,10 @@
 Subcommands mirror the library modules: fold | boundary | area | length |
 orbit-count | scc-count | mlz-count | fibers | low-index | verify-example.
 Output is JSON or CSV on stdout (or --out); exit codes are 0 success,
-2 input error, 3 surface validation error, 4 resource cap hit (partial
-results are still emitted, flagged as not frontier-exhausted).
+2 input error, 3 surface configuration error (a surface that fails
+validation, that the slope oracle refuses, or that has no twist
+generators), 4 resource cap hit (partial results are still emitted,
+flagged as not frontier-exhausted).
 """
 
 from __future__ import annotations
@@ -312,7 +314,7 @@ def run(argv) -> int:
             raise InputError("--max-index must be positive")
         return args.fn(args)
     except ConfigError as exc:
-        print(f"scl: surface validation error: {exc}", file=sys.stderr)
+        print(f"scl: surface configuration error: {exc}", file=sys.stderr)
         return 3
     except ResourceLimitError as exc:
         print(f"scl: resource cap: {exc}", file=sys.stderr)

@@ -10,6 +10,8 @@ conjugacy invariant.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
+from operator import add
 
 from . import words
 from .errors import (
@@ -21,6 +23,14 @@ from .errors import (
 )
 
 DEFAULT_INDEX_CAP = 8
+
+# _LEAVE[b] is the dart slot at which the letter of byte b leaves its vertex
+# (2 * lab, or 2 * lab + 1 for an inverse letter); it arrives at the next
+# vertex at the slot ^ 1, _ARRIVE[b].  _FLIP maps a slot to its ^ 1.
+_LEAVE = bytes([0, *range(0, 52, 2), *range(1, 52, 2)]).ljust(256, b"\0")
+_FLIP = bytes(x ^ 1 for x in range(256))
+_ARRIVE = _LEAVE.translate(_FLIP)
+_UNSET = array("i", [-1])
 
 
 class CoreGraph:
@@ -163,16 +173,6 @@ def pushforward(g: CoreGraph, images) -> CoreGraph:
                  g.rank, basepoint=g.basepoint)
 
 
-def cycle(letters, rank) -> CoreGraph:
-    """Core graph of ``<w>`` for a nontrivial cyclically reduced word ``w``:
-    one cycle, letter ``j`` read along the edge from vertex ``j`` to
-    vertex ``j + 1`` (mod ``len(w)``), already folded and with no spurs."""
-    n = len(letters)
-    edges = [(j, (j + 1) % n, l - 1) if l > 0 else ((j + 1) % n, j, -l - 1)
-             for j, l in enumerate(letters)]
-    return CoreGraph(n, sorted(edges), rank)
-
-
 def core(g: CoreGraph) -> CoreGraph:
     """Basepoint-free core: prune degree-1 spurs until min degree is 2.
 
@@ -304,6 +304,71 @@ def canonical_key(g: CoreGraph) -> bytes:
                 w = j
             enc.append(w)
     return b"%d;%d;" % (g.rank, n) + array("i", enc).tobytes()
+
+
+@lru_cache(maxsize=None)
+def _profile_grams(rank):
+    """For each vertex profile {lo, hi} of a cycle, best first, the slot
+    2-gram (hi ^ 1, lo) of a vertex reached through slot hi and left
+    through slot lo."""
+    return tuple(bytes((hi ^ 1, lo)) for lo in range(2 * rank - 1, -1, -1)
+                 for hi in range(2 * rank - 1, lo, -1))
+
+
+def cycle_key(word: bytes, rank) -> bytes:
+    """``canonical_key`` of the one-cycle core graph of ``<w>`` (Stallings
+    1983), for a nontrivial cyclically reduced byte word ``w``
+    (``words._encode``), read off its letters without building the graph.
+
+    Vertex v sits between letters v - 1 and v, and its profile is the slot
+    pair {arrival of letter v - 1, departure of letter v}; the best is the
+    largest (lo, hi).  From a start of best profile the breadth-first search
+    runs along two directions, X leaving through slot lo and Y through hi,
+    and gives the k-th vertex along X the index 2k - 1 and along Y 2k.  So
+    its encoding is fixed by the interleaved slot string z = X1 Y1 X2 Y2
+    ...: z[j] is the edge from vertex j - 1 to vertex j + 1 (from vertex 0
+    for j <= 1; the last, z[n - 1], joins n - 2 and n - 1).  Where the
+    encodings from two starts first differ, they differ in the onward slot
+    of one vertex, and the larger slot leaves -1 where the smaller has an
+    index: the least encoding is that of the greatest z, one ``bytes``
+    comparison per start.  Y read forwards is X on the reversed word with
+    its slots flipped, so the starts are the 2-gram (hi ^ 1, lo) in the
+    slot words of ``w`` and of its inverse.
+    """
+    n, width = len(word), 2 * rank
+    enc = _UNSET * (width * n)
+    fwd = word.translate(_LEAVE)
+    if n == 1:  # a loop
+        enc[fwd[0]] = enc[fwd[0] ^ 1] = 0
+        return b"%d;%d;" % (rank, n) + enc.tobytes()
+    back = word[::-1].translate(_ARRIVE)
+    fwd, back = fwd + fwd, back + back
+    # the (n + 1)-byte cut from n - 1 holds the 2-gram of vertex v at v
+    cuts = fwd[n - 1:2 * n], back[n - 1:2 * n]
+    gram = next(g for g in _profile_grams(rank) if g in cuts[0] or g in cuts[1])
+    h = (n + 2) // 2
+    best = b""
+    for x, y, cut in ((fwd, back, cuts[0]), (back, fwd, cuts[1])):
+        v = cut.find(gram)
+        while v >= 0:
+            z = bytearray(2 * h)
+            z[0::2] = x[v:v + h]
+            z[1::2] = y[n - v:n - v + h]
+            if z > best:
+                best = z
+            v = cut.find(gram, v + 1)
+    # edge z[j] from row a to row b: b at row a's slot z[j], a at row b's
+    # z[j] ^ 1.  map writes at C speed, and any() runs it to the end.
+    z, inner = best, best[1:n - 1]
+    enc[z[0]] = 1
+    enc[width + (z[0] ^ 1)] = 0
+    any(map(enc.__setitem__, map(add, range(0, width * (n - 2), width), inner),
+            range(2, n)))
+    any(map(enc.__setitem__, map(add, range(2 * width, width * n, width),
+                                 inner.translate(_FLIP)), range(n - 2)))
+    enc[width * (n - 2) + z[n - 1]] = n - 1
+    enc[width * (n - 1) + (z[n - 1] ^ 1)] = n - 2
+    return b"%d;%d;" % (rank, n) + enc.tobytes()
 
 
 def from_key(key: bytes) -> CoreGraph:

@@ -16,8 +16,9 @@ the members are lifted to subgroup classes: the fiber over t(mu) is t
 applied to the fiber over mu, and every fiber is a copy of the seed's.
 One breadth-first routine walks both levels, and one loop pushes fibers
 down the curve walk's tree.  For a cyclic seed c <r^m> its push rule gives
-the curve mu = t(r) the one class c <mu^m>, keyed straight from the cycle
-of mu's canonical letters with no twist action.
+the curve mu = t(r) the one class c <mu^m>, keyed by ``graphs.cycle_key``
+in one pass over the byte word of mu^m, with no twist action and no
+graph.
 
 The curve walk keeps its nodes as tuples of ``(bytes, i)`` components:
 a curve's canonical letters one byte each (``words._encode``), and ``i``
@@ -345,18 +346,19 @@ class _Orbit:
         return self.finish(elements, complete, stats)
 
     def push_rule(self, fiber_size):
-        """The lift's rule ``push(fiber, t_idx, b_key)``: the fiber over the
-        tree child with boundary image ``b_key``, reached by twist
-        ``t_idx``, from its parent's.
+        """The lift's rule ``push(fiber, t_idx, node, b_key)``: the fiber over
+        the tree child ``node`` of the curve walk, with boundary image
+        ``b_key``, reached by twist ``t_idx``, from its parent's.
 
         In general fiber(t(mu)) = t(fiber(mu)).  For a seed c <r^m> (one
         term of rank 1) every node is one curve mu = t(r), and the one
-        element over it is c <mu^m>: the rule keys the cycle of mu's
-        letters repeated m times, with no twist action and no fold.
+        element over it is c <mu^m>: the rule keys it with
+        ``graphs.cycle_key`` on mu's canonical byte word repeated m times,
+        in one pass over its letters, with no twist action, fold or graph.
         """
         (cls_key, c), *rest = self.seed_key
         if rest or SubgroupClass(cls_key).rank != 1:
-            return lambda fiber, t_idx, _: [self.act(t_idx, k) for k in fiber]
+            return lambda fiber, t_idx, *_: [self.act(t_idx, k) for k in fiber]
         # t(c <r^m>) lies over c m t(r), which is B(seed) only when t fixes r
         if fiber_size != 1:
             raise InternalConsistencyError(
@@ -364,11 +366,11 @@ class _Orbit:
         ((root, _),) = self.seed_record[1]
         m, surface = graphs.from_key(cls_key).vertex_count // len(root), self.surface
 
-        def push(fiber, t_idx, b_key):
-            ((letters, _),) = b_key
-            word = letters * m  # canonical, as the m-th power of a canonical word
-            graphs.check_not_peripheral(words.ConjClass(word), surface)
-            return [((graphs.canonical_key(graphs.cycle(word, surface.rank)), c),)]
+        def push(fiber, t_idx, node, b_key):
+            # canonical, as the m-th powers of a canonical word
+            ((word, _),), ((letters, _),) = node, b_key
+            graphs.check_not_peripheral(words.ConjClass(letters * m), surface)
+            return [((graphs.cycle_key(word * m, surface.rank), c),)]
         return push
 
     def lift(self, curves, kept, tree, fiber0, weights, push):
@@ -386,7 +388,7 @@ class _Orbit:
             for nu in reversed(path):
                 parent, t_idx = tree[nu]
                 b_key = tuple((words._decode(letters), weights[i]) for letters, i in nu)
-                fibers[nu] = push(fibers[parent], t_idx, b_key)
+                fibers[nu] = push(fibers[parent], t_idx, nu, b_key)
                 elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], b_key)))
         return elements
 

@@ -161,14 +161,15 @@ def conj_class(w) -> ConjClass:
 def primitive_root(c: ConjClass):
     """Return ``(root, m)`` with ``c`` the class of ``root^m`` and root primitive.
 
-    Detected as the minimal cyclic period of the canonical word.
+    Detected as the minimal cyclic period of the canonical word: d is a
+    period when ``w`` shifted by d is itself, one tuple comparison.
     """
     w = c.letters
     n = len(w)
     for d in range(1, n + 1):
         if n % d:
             continue
-        if all(w[i] == w[i % d] for i in range(d, n)):
+        if w[d:] == w[:n - d]:
             # w = r^m is least among the rotations of w and w^-1, and those
             # are the m-th powers of the rotations of r and r^-1, so r is
             # already least among its own: no second canonicalization

@@ -322,6 +322,25 @@ def test_surface_file(tmp_path, capsys):
         assert (bad, code, out) == (bad, 2, "")
 
 
+def test_oracle_refusal_is_a_configuration_error(tmp_path, capsys):
+    # b re-marked as a^5 b: the surface validates, but its root triple is no
+    # local minimum of the trace tree, so the slope oracle refuses it
+    config = json.loads((Path(__file__).parent / "data" / "modular_torus.json").read_text())
+    a, b = config["matrices"]["a"], config["matrices"]["b"]
+    for _ in range(5):
+        b = [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    config["matrices"]["b"] = b
+    path = tmp_path / "a5b.json"
+    path.write_text(json.dumps(config))
+    assert cli.run(["--surface", str(path), "--no-meta", "verify-example"]) == 0
+    capsys.readouterr()
+    code = cli.run(["--surface", str(path), "--no-meta", "scc-count", "--L", "4", "--grid", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("scl: surface configuration error: ")
+    assert "local minimum" in err
+
+
 def test_surface_file_rejects_the_annulus(tmp_path, capsys):
     # rank and ribbon check out, but 2g - 2 + r = 0: no hyperbolic structure
     config = {"genus": 0, "cusps": 2, "ribbon_order": ["a+", "a-"],

@@ -76,17 +76,17 @@ def test_canonical_key_conjugate_cyclic():
 
 
 def test_cycle_is_the_core_of_a_cyclic_subgroup(rng):
-    # the cycle of a cyclically reduced word, in any rotation or power, is
-    # the folded core graph of the subgroup it generates
+    # the one-cycle core graph of a cyclically reduced word, in any rotation
+    # or power, is the folded core graph of the subgroup it generates, and
+    # cycle_key keys it from the word's letters alone
     for _ in range(60):
         rank = rng.randint(1, 3)
         w = words.conj_class(random_reduced_word(rng, rank, 14)).letters
         w = (w[rng.randrange(len(w)):] + w)[:len(w)] * rng.randint(1, 3)
-        g = graphs.cycle(w, rank)
+        g = graphs.core(graphs.fold([w], rank=rank))
         assert (g.vertex_count, g.cycle_rank, g.basepoint) == (len(w), 1, None)
-        want = graphs.core(graphs.fold([w], rank=rank))
-        assert graphs.canonical_key(g) == graphs.canonical_key(want)
-    assert graphs.cycle(W("aB"), 2).edges == ((0, 1, 0), (0, 1, 1))
+        assert graphs.cycle_key(words._encode(w), rank) == graphs.canonical_key(g)
+    assert graphs.core(graphs.fold([W("aB")], rank=2)).edges == ((0, 1, 0), (0, 1, 1))
 
 
 def test_canonical_key_separates_paper_example():
@@ -192,13 +192,45 @@ def test_canonical_key_is_the_exhaustive_minimum(rng):
         cores.append(graphs.core(graphs.fold(gens, rank=rank)))
     # one-cycle graphs as long as the members of a curve's orbit ball
     for _ in range(200):
-        cores.append(graphs.cycle(_random_cyclic_word(rng, 2, rng.randint(20, 61)), 2))
+        w = _random_cyclic_word(rng, 2, rng.randint(20, 61))
+        cores.append(graphs.core(graphs.fold([w], rank=2)))
     for g in cores:
         key = graphs.canonical_key(g)
         assert key == _exhaustive_key(g)
         assert graphs.canonical_key(graphs.from_key(key)) == key
         h = graphs.SubgroupClass(key)
         assert (h.rank, h.euler_char) == (g.cycle_rank, g.vertex_count - len(g.edges))
+
+
+def _cyclic_words(rank, n):
+    """Every cyclically reduced word of ``n`` letters over ``rank`` generators."""
+    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
+    for w in itertools.product(letters, repeat=n):
+        if all(w[i] != -w[i - 1] for i in range(n)):
+            yield w
+
+
+def _cycle_key_matches(w, rank):
+    want = graphs.canonical_key(graphs.core(graphs.fold([w], rank=rank)))
+    return graphs.cycle_key(words._encode(w), rank) == want
+
+
+def test_cycle_key_is_the_key_of_the_folded_cycle(rng):
+    checked = 0
+    for rank, longest in ((1, 8), (2, 8), (3, 5)):
+        for n in range(1, longest + 1):
+            for w in _cyclic_words(rank, n):
+                assert _cycle_key_matches(w, rank), (rank, w)
+                checked += 1
+    assert checked == 16 + 9856 + 3918
+    # long words, and powers, where starts of best profile tie
+    for _ in range(150):
+        rank = rng.randint(1, 4)
+        w = tuple(_random_cyclic_word(rng, rank, rng.randint(1, 120)))
+        assert _cycle_key_matches(w, rank), (rank, w)
+        mu = words.conj_class(w[:rng.randint(1, 30)]).letters
+        for m in range(1, 5):
+            assert _cycle_key_matches(mu * m, rank), (rank, mu, m)
 
 
 def _pruned(g):
@@ -231,7 +263,7 @@ def _min_degree(g):
 def test_core_returns_a_spur_free_graph_as_it_is(rng):
     spur_free = list(graphs.subgroups_of_index(2, 4))
     for _ in range(50):
-        c = graphs.cycle(_random_cyclic_word(rng, 2, rng.randint(1, 30)), 2)
+        c = graphs.core(graphs.fold([_random_cyclic_word(rng, 2, rng.randint(1, 30))], rank=2))
         spur_free.append(graphs.CoreGraph(c.vertex_count, c.edges, c.rank, basepoint=0))
     for _ in range(100):
         rank = rng.randint(2, 3)

@@ -84,6 +84,24 @@ def test_primitive_root_round_trip(raw):
     assert words.conj_class(root.letters * m) == c
 
 
+def _brute_period(w):
+    """The least d dividing len(w) with w[i] == w[i % d] for every i."""
+    n = len(w)
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and all(w[i] == w[i % d] for i in range(n)))
+
+
+def test_primitive_root_is_the_brute_force_period(rng):
+    for _ in range(400):
+        c = words.conj_class(random_reduced_word(rng, rng.randint(1, 3), 12))
+        d = _brute_period(c.letters)
+        for m in range(1, 5):
+            # the m-th power of a canonical word is canonical
+            power = words.ConjClass(c.letters * m)
+            root, mult = words.primitive_root(power)
+            assert (root.letters, mult) == (c.letters[:d], m * len(c.letters) // d)
+
+
 def _letter_order(l):
     """The documented order a < b < ... < A < B < ... as a sort key."""
     return l if l > 0 else 26 - l
