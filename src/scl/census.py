@@ -3,10 +3,11 @@ and the independent slope oracle for the once-punctured torus.
 
 The slope oracle parameterizes simple closed curves by coprime pairs via
 Christoffel words and walks the Stern-Brocot tree, so it never touches
-the orbit machinery it is used to cross-check.  A node is measured by
-the trace of the product of its two parents' holonomy matrices (a
-Christoffel word is the product of its Farey parents' words), and only
-the slopes it keeps are turned into words and classes.
+the orbit machinery it is used to cross-check.  A Christoffel word is
+the product of its Farey parents' words, so on an exact surface a node
+is measured from its parents' traces by Fricke's identity, one
+multiplication, and on a float surface by one product of their holonomy
+matrices.  Only the slopes it keeps are turned into words and classes.
 """
 
 from __future__ import annotations
@@ -145,9 +146,10 @@ def christoffel_word(p: int, q: int):
     return tuple(out)
 
 
-def _check_slope_oracle(surface, limit: float) -> None:
-    """Raise unless the limit is finite and positive and the slope walk of
-    this surface finds every curve.
+def _check_slope_oracle(surface, limit: float):
+    """The root traces (tr a, tr b, tr ab), once the limit is checked
+    finite and positive and the slope walk of this surface is checked to
+    find every curve; raises otherwise.
 
     The walk prunes a subtree once traces pass the limit, which is sound
     only if traces grow away from its root, the edge between the
@@ -167,25 +169,30 @@ def _check_slope_oracle(surface, limit: float) -> None:
             "the slope oracle knows only its curves")
     if not 0 < limit < math.inf:
         raise InputError(f"limit must be finite and positive, got {limit}")
-    mats = surface._letter_matrices
-    x, y = mats[1][0] + mats[1][3], mats[2][0] + mats[2][3]
-    ab = geometry._product(mats[1], mats[2])
-    z = ab[0] + ab[3]
+    x, y, z = root = _root_traces(surface)
     for zz in (z, x * y - z):
         if abs(y * zz - x) < abs(x) or abs(x * zz - y) < abs(y):
             raise ConfigError(
                 f"surface {surface.name!r}: the root (tr a, tr b, tr ab) = ({x}, {y}, {z}) "
                 "is not a local minimum of the trace tree, so the slope walk could miss "
                 "curves")
+    return root
+
+
+def _root_traces(surface):
+    """(tr a, tr b, tr ab), each summed as ``_product`` sums a diagonal."""
+    mats = surface._letter_matrices
+    ab = geometry._product(mats[1], mats[2])
+    return mats[1][0] + mats[1][3], mats[2][0] + mats[2][3], ab[0] + ab[3]
 
 
 def _census_lengths(surface, limit: float, grid):
     """The sorted lengths of the slope oracle and the checked grid.  The
     surface, the limit and the grid are checked before the walk, so a bad
     grid costs no L^2-sized walk."""
-    _check_slope_oracle(surface, limit)
+    root = _check_slope_oracle(surface, limit)
     grid = _checked_grid(grid, limit, "limit")
-    rows, measured = _slope_lengths(surface, limit)
+    rows, measured = _slope_lengths(surface, limit, root)
     return [ell for _, ell in rows], grid, measured
 
 
@@ -199,67 +206,102 @@ def _trace_bound(limit: float) -> float:
         return math.inf
 
 
-def _slope_lengths(surface, limit: float):
+def _fricke_join(x, y, z):
+    """The trace of LR from (tr L, tr R, tr L^-1 R), by Fricke's identity
+    tr LR = tr L tr R - tr L^-1 R: the join step of an exact surface,
+    whose slopes carry their traces."""
+    return x * y - z
+
+
+def _matrix_join(m, n, _):
+    """The product of ``m`` and ``n``: the join step of a float surface,
+    whose slopes carry their matrices.  It is ``geometry._product``
+    written out, which saves a call per slope."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _slope_lengths(surface, limit: float, root=None):
     """(slope, length) of every simple closed geodesic of length <= limit,
     sorted by length then slope, and the number of slopes measured.
 
     Walks the Stern-Brocot tree of coprime pairs on the two branches
     (1, 0)-(0, 1) and (1, 0)-(0, -1).  The Christoffel word of a mediant
-    is the product of its parents' words, smaller slope first, so each
-    node carries its holonomy matrix and one 2x2 product measures a
-    child.  A subtree is pruned only after both children of an over-limit
-    node are also seen over the limit, so trace monotonicity is verified
-    locally rather than assumed.  Those two children are measured in
-    place from their parents' matrices, and one is pushed only if it
-    comes out inside the limit.
+    is the product LR of its parents' words, smaller slope first.  A stack
+    entry is an edge (L, R) and carries (tr L, tr R, tr L^-1 R), so
+    Fricke's identity tr LR = tr L tr R - tr L^-1 R measures the mediant
+    with one multiplication.  Its children's edges carry
+    (tr L, tr LR, tr R), since L^-1 LR = R, and (tr LR, tr R, tr L), since
+    (LR)^-1 R = R^-1 L^-1 R is conjugate to L^-1, whose trace is tr L.
+    The roots carry (tr a, tr b, tr a tr b - tr ab), as a^-1 b has trace
+    tr a tr b - tr ab, and (tr a, tr b, tr ab), as a^-1 b^-1 is the
+    inverse of ba.  ``root`` is (tr a, tr b, tr ab) from
+    ``_check_slope_oracle``; without it the surface is checked here.
 
-    A trace above 2 cosh(limit / 2), with room for the arccosh's rounding,
+    That is the walk of an exact surface.  A float surface's slopes carry
+    their matrices instead and are measured by one 2x2 product, its trace
+    the sum of the product's diagonal, so no length moves by an ulp; the
+    third entry goes unused.  The walk is one loop either way, with the
+    surface's join step.
+
+    A subtree is pruned only after both children of an over-limit node
+    are also seen over the limit, so trace monotonicity is verified
+    locally rather than assumed.  Those two children are measured in
+    place, and one is pushed only if it comes out inside the limit.  A
+    trace above 2 cosh(limit / 2), with room for the arccosh's rounding,
     is over the limit with no length taken.  Every other trace goes
     through ``checked_length``, which raises on a parabolic or elliptic
-    one.  A child's trace is summed as ``_product`` sums its diagonal, so
-    no length moves by an ulp on a float surface.
+    one.
     """
-    _check_slope_oracle(surface, limit)
+    if root is None:
+        _check_slope_oracle(surface, limit)
+        root = _root_traces(surface)
     bound = _trace_bound(limit)
-    checked_length, product = geometry.checked_length, geometry._product
-    mats = surface._letter_matrices
-    a, b, b_inv = mats[1], mats[2], mats[-2]
+    checked_length = geometry.checked_length
+    tr_a, tr_b, tr_ab = root
     out = []
-    for slope, m in (((1, 0), a), ((0, 1), b)):
-        ell = checked_length(m[0] + m[3], surface, slope)
+    for slope, t in (((1, 0), tr_a), ((0, 1), tr_b)):
+        ell = checked_length(t, surface, slope)
         if ell <= limit:
             out.append((slope, ell))
 
+    exact = surface.exact
+    if exact:
+        join = _fricke_join
+        stack = [((1, 0), tr_a, (0, 1), tr_b, tr_a * tr_b - tr_ab),
+                 ((1, 0), tr_a, (0, -1), tr_b, tr_ab)]
+    else:
+        join, mats = _matrix_join, surface._letter_matrices
+        stack = [((1, 0), mats[1], (0, 1), mats[2], None),
+                 ((1, 0), mats[1], (0, -1), mats[-2], None)]
     measured = 2
-    stack = [((1, 0), a, (0, 1), b), ((1, 0), a, (0, -1), b_inv)]
     push = stack.append
     while stack:
-        left, lm, right, rm = stack.pop()
-        m = product(lm, rm)
-        t = m[0] + m[3]
+        left, lv, right, rv, w = stack.pop()
+        v = join(lv, rv, w)
+        t = v if exact else v[0] + v[3]
         slope = (left[0] + right[0], left[1] + right[1])
         if abs(t) <= bound and (ell := checked_length(t, surface, slope)) <= limit:
             measured += 1
             out.append((slope, ell))
-            push((left, lm, slope, m))
-            push((slope, m, right, rm))
+            push((left, lv, slope, v, rv))
+            push((slope, v, right, rv, lv))
             continue
         # over the limit: this slope and both children are measured here;
         # the left child's subtree is pushed first, so the stack pops both
         # subtrees in the order it would pop the two children
         measured += 3
-        for x, xm, y, ym in ((left, lm, slope, m), (slope, m, right, rm)):
-            p, q, r, s = xm
-            e, f, g, h = ym
-            t = (p * e + q * g) + (r * f + s * h)
+        for x, xv, y, yv, w in ((left, lv, slope, v, rv), (slope, v, right, rv, lv)):
+            cv = join(xv, yv, w)
+            t = cv if exact else cv[0] + cv[3]
             if abs(t) <= bound:
                 child = (x[0] + y[0], x[1] + y[1])
                 ell = checked_length(t, surface, child)
                 if ell <= limit:
                     out.append((child, ell))
-                    cm = product(xm, ym)
-                    push((x, xm, child, cm))
-                    push((child, cm, y, ym))
+                    push((x, xv, child, cv, yv))
+                    push((child, cv, y, yv, xv))
     out.sort(key=itemgetter(1, 0))
     return out, measured
 
@@ -267,10 +309,10 @@ def _slope_lengths(surface, limit: float):
 def scc_classes(surface, limit: float):
     """Simple closed geodesics of length <= limit, via the slope oracle.
 
-    The Stern-Brocot walk of ``_slope_lengths`` measures each slope by
-    the trace of one matrix product; only the kept slopes are turned into
-    Christoffel words and canonicalized.  Returns [(slope, class, length)]
-    sorted by length then slope.
+    The Stern-Brocot walk of ``_slope_lengths`` measures each slope from
+    its parents' traces (or matrices, on a float surface); only the kept
+    slopes are turned into Christoffel words and canonicalized.  Returns
+    [(slope, class, length)] sorted by length then slope.
     """
     return [(slope, words.conj_class(christoffel_word(*slope)), ell)
             for slope, ell in _slope_lengths(surface, limit)[0]]

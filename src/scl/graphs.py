@@ -473,14 +473,19 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
         g = fold(source, rank=rank)
     g = core(g)
     if surface is not None and g.cycle_rank == 1:
-        check_not_peripheral(words.conj_class(spanning_generators(g)[0]), surface)
+        c = words.conj_class(spanning_generators(g)[0])
+        check_not_peripheral(*words.primitive_root(c), surface)
     return SubgroupClass(canonical_key(g))
 
 
-def check_not_peripheral(c: words.ConjClass, surface) -> None:
-    """Raise unless the cyclic subgroup generated by ``c`` is in the
-    subgroup universe: a peripheral root has a single-point limit set."""
-    if words.is_peripheral(*words.primitive_root(c), surface)[0]:
+def check_not_peripheral(root: words.ConjClass, mult: int, surface) -> None:
+    """Raise unless the cyclic subgroup generated by ``root^mult`` is in
+    the subgroup universe: a peripheral root has a single-point limit set.
+
+    Takes the split ``(root, mult)`` that ``words.primitive_root`` returns,
+    or one known already, such as a primitive curve and a power of it.
+    """
+    if words.is_peripheral(root, mult, surface)[0]:
         raise PeripheralSubgroupError(
             "cyclic subgroup with peripheral root is outside the subgroup universe"
         )

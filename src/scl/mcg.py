@@ -367,9 +367,10 @@ class _Orbit:
         m, surface = graphs.from_key(cls_key).vertex_count // len(root), self.surface
 
         def push(fiber, t_idx, node, b_key):
-            # canonical, as the m-th powers of a canonical word
+            # canonical, as the m-th powers of a canonical word; mu is the
+            # image of the primitive r, so (mu, m) is already the split
             ((word, _),), ((letters, _),) = node, b_key
-            graphs.check_not_peripheral(words.ConjClass(letters * m), surface)
+            graphs.check_not_peripheral(words.ConjClass(letters), m, surface)
             return [((graphs.cycle_key(word * m, surface.rank), c),)]
         return push
 

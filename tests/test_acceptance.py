@@ -7,13 +7,14 @@ time budgets are printed for inspection.
 """
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from scl import census, cli, currents, graphs, mcg, ribbon, words
+from scl import census, cli, currents, geometry, graphs, mcg, ribbon, words
 from conftest import (
     hall_count,
     random_mapping_class,
@@ -192,6 +193,47 @@ def test_big_ball_is_pinned(big_ball):
         "888aa7693f9d4a69fd5b279160241d33906d1184482b251d8baa72610ed98f46"
     counts = tuple(big_ball.stats[name] for name in ("seen", "explored", "members"))
     assert counts == (47304, 23652, 10440)
+
+
+def test_headline_census_is_the_curve_oracle(torus, big_ball):
+    """Criterion 8's ball of <aa, b> is the slope oracle's, value for value.
+
+    The boundary image of <aa, b> is half the curve gamma = aabAAB =
+    a^2 (bAB)^2.  Cutting the torus along the simple curve a leaves a pair
+    of pants whose group is free on a and bAB = b a^-1 b^-1 (the two sides
+    of a; the cusp is the third boundary), so gamma lies in the pants
+    group and fills the pants.  The twist about a fixes a and bAB, hence
+    gamma, and a mapping class that fixes gamma fixes the one simple curve
+    it misses, a: Stab(gamma) = Stab(a).  The mapping class group acts
+    transitively on the simple closed curves (Farb and Margalit, A Primer
+    on Mapping Class Groups, 2012), so phi(a) -> phi(gamma) is a bijection
+    from the simple curves alpha onto the orbit of gamma.
+
+    With x = tr a, y = tr b, z = tr ab, Fricke's identities (Goldman,
+    Trace coordinates on Fricke spaces of some simple hyperbolic surfaces,
+    2009) give
+    tr [a^2, b] = 2 - 4x^2 + x^2 (x^2 + y^2 + z^2 - xyz), and the cusp makes
+    tr [a, b] = x^2 + y^2 + z^2 - xyz - 2 = -2, so tr gamma = 2 - 4x^2.  The
+    same holds for phi(a), phi(b): gamma_alpha has |trace| 4x^2 - 2 with
+    x = |tr alpha|, and its lsc value, half its length, is
+    arccosh(2x^2 - 1) = 2 arccosh(x).  Each boundary image carries a fiber
+    of two subgroups, so each value is taken twice.
+
+    x is the exact integer trace of the slope's Christoffel word.  A curve
+    of value at most L has length 2 arccosh(x / 2) < L, so the slope walk
+    to L finds every one.
+    """
+    assert geometry.holonomy_trace(W("aabAAB"), torus) == 2 - 4 * 3 ** 2
+    predicted = []
+    for slope, _ in census._slope_lengths(torus, BIG_BALL_L)[0]:
+        x = abs(geometry.holonomy_trace(census.christoffel_word(*slope), torus))
+        value = 2 * math.acosh(x)
+        if value <= BIG_BALL_L:
+            predicted += [value, value]
+    predicted.sort()
+    got = big_ball.member_values()
+    assert len(got) == len(predicted) == 10440
+    assert all(abs(v - p) <= 1e-12 * p for v, p in zip(got, predicted))
 
 
 def _swap_counts(torus, seed_text, limit):

@@ -224,6 +224,26 @@ def test_slope_walk_equals_the_pushed_walk(torus):
             assert census._slope_lengths(surface, limit) == _pushed_walk(surface, limit)
 
 
+def test_slope_walk_on_exact_markings_with_negative_traces(torus):
+    # -a, -b and the swap of a and b are markings of the same surface with
+    # the same commutator trace; the Fricke walk carries signed traces and
+    # must match the walk of full products, and each |trace| is unchanged
+    a, b = torus.matrices
+    minus = lambda m: tuple(tuple(-x for x in row) for row in m)
+    roots = {(minus(a), b): (-3, 3, -3), (a, minus(b)): (3, -3, -3),
+             (minus(a), minus(b)): (-3, -3, 3), (b, a): (3, 3, 3)}
+    for (ma, mb), root in roots.items():
+        surface = _marked(torus, "re-marked", ma, mb)
+        assert surface.exact
+        assert geometry.validate(surface) == []
+        assert census._check_slope_oracle(surface, 90.0) == root
+        for limit in (0.5, 2.0, 4.0, 15.0, 30.0, 90.0):
+            rows, measured = census._slope_lengths(surface, limit)
+            assert (rows, measured) == _pushed_walk(surface, limit)
+            ref, _ = census._slope_lengths(torus, limit)
+            assert [ell for _, ell in rows] == [ell for _, ell in ref]
+
+
 def test_slope_walk_rows_are_pinned(torus):
     # sha256 of repr of the (slope, length) rows on the modular torus
     pins = {30.0: ("75c724ddbcd3d09354432205628710e569ce4b2381e838b84386385a40b92c43", 234),
