@@ -146,10 +146,9 @@ def christoffel_word(p: int, q: int):
     return tuple(out)
 
 
-def _check_slope_oracle(surface, limit: float):
-    """The root traces (tr a, tr b, tr ab), once the limit is checked
-    finite and positive and the slope walk of this surface is checked to
-    find every curve; raises otherwise.
+def _check_slope_oracle(surface, limit: float) -> None:
+    """Raise unless the limit is finite and positive and the slope walk of
+    this surface finds every curve.
 
     The walk prunes a subtree once traces pass the limit, which is sound
     only if traces grow away from its root, the edge between the
@@ -169,14 +168,13 @@ def _check_slope_oracle(surface, limit: float):
             "the slope oracle knows only its curves")
     if not 0 < limit < math.inf:
         raise InputError(f"limit must be finite and positive, got {limit}")
-    x, y, z = root = _root_traces(surface)
+    x, y, z = _root_traces(surface)
     for zz in (z, x * y - z):
         if abs(y * zz - x) < abs(x) or abs(x * zz - y) < abs(y):
             raise ConfigError(
                 f"surface {surface.name!r}: the root (tr a, tr b, tr ab) = ({x}, {y}, {z}) "
                 "is not a local minimum of the trace tree, so the slope walk could miss "
                 "curves")
-    return root
 
 
 def _root_traces(surface):
@@ -190,9 +188,9 @@ def _census_lengths(surface, limit: float, grid):
     """The sorted lengths of the slope oracle and the checked grid.  The
     surface, the limit and the grid are checked before the walk, so a bad
     grid costs no L^2-sized walk."""
-    root = _check_slope_oracle(surface, limit)
+    _check_slope_oracle(surface, limit)
     grid = _checked_grid(grid, limit, "limit")
-    rows, measured = _slope_lengths(surface, limit, root)
+    rows, measured = _slope_lengths(surface, limit)
     return [ell for _, ell in rows], grid, measured
 
 
@@ -206,60 +204,40 @@ def _trace_bound(limit: float) -> float:
         return math.inf
 
 
-def _fricke_join(x, y, z):
-    """The trace of LR from (tr L, tr R, tr L^-1 R), by Fricke's identity
-    tr LR = tr L tr R - tr L^-1 R: the join step of an exact surface,
-    whose slopes carry their traces."""
-    return x * y - z
-
-
-def _matrix_join(m, n, _):
-    """The product of ``m`` and ``n``: the join step of a float surface,
-    whose slopes carry their matrices.  It is ``geometry._product``
-    written out, which saves a call per slope."""
-    a, b, c, d = m
-    e, f, g, h = n
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
-def _slope_lengths(surface, limit: float, root=None):
+def _slope_lengths(surface, limit: float):
     """(slope, length) of every simple closed geodesic of length <= limit,
     sorted by length then slope, and the number of slopes measured.
 
     Walks the Stern-Brocot tree of coprime pairs on the two branches
     (1, 0)-(0, 1) and (1, 0)-(0, -1).  The Christoffel word of a mediant
-    is the product LR of its parents' words, smaller slope first.  A stack
-    entry is an edge (L, R) and carries (tr L, tr R, tr L^-1 R), so
-    Fricke's identity tr LR = tr L tr R - tr L^-1 R measures the mediant
-    with one multiplication.  Its children's edges carry
-    (tr L, tr LR, tr R), since L^-1 LR = R, and (tr LR, tr R, tr L), since
-    (LR)^-1 R = R^-1 L^-1 R is conjugate to L^-1, whose trace is tr L.
-    The roots carry (tr a, tr b, tr a tr b - tr ab), as a^-1 b has trace
-    tr a tr b - tr ab, and (tr a, tr b, tr ab), as a^-1 b^-1 is the
-    inverse of ba.  ``root`` is (tr a, tr b, tr ab) from
-    ``_check_slope_oracle``; without it the surface is checked here.
+    is the product LR of its parents' words, smaller slope first.  On an
+    exact surface a stack entry is an edge (L, R) and carries
+    (tr L, tr R, tr L^-1 R), so Fricke's identity
+    tr LR = tr L tr R - tr L^-1 R measures the mediant with one
+    multiplication.  Its children's edges carry (tr L, tr LR, tr R), since
+    L^-1 LR = R, and (tr LR, tr R, tr L), since (LR)^-1 R = R^-1 L^-1 R
+    is conjugate to L^-1, whose trace is tr L.  The roots carry
+    (tr a, tr b, tr a tr b - tr ab), as a^-1 b has trace tr a tr b - tr ab,
+    and (tr a, tr b, tr ab), as a^-1 b^-1 is the inverse of ba.
 
-    That is the walk of an exact surface.  A float surface's slopes carry
-    their matrices instead and are measured by one 2x2 product, its trace
-    the sum of the product's diagonal, so no length moves by an ulp; the
-    third entry goes unused.  The walk is one loop either way, with the
-    surface's join step.
+    On a float surface an entry carries the two matrices instead, and one
+    2x2 product measures the mediant, its trace the sum of the product's
+    diagonal, so no length moves by an ulp; the third trace goes unused.
 
     A subtree is pruned only after both children of an over-limit node
     are also seen over the limit, so trace monotonicity is verified
     locally rather than assumed.  Those two children are measured in
-    place, and one is pushed only if it comes out inside the limit.  A
-    trace above 2 cosh(limit / 2), with room for the arccosh's rounding,
-    is over the limit with no length taken.  Every other trace goes
-    through ``checked_length``, which raises on a parabolic or elliptic
-    one.
+    place, and one is pushed only if it comes out inside the limit; on a
+    float surface a child's trace is summed as ``_product`` sums its
+    diagonal, and its product is taken only if it is pushed.  A trace
+    above 2 cosh(limit / 2), with room for the arccosh's rounding, is over
+    the limit with no length taken.  Every other trace goes through
+    ``checked_length``, which raises on a parabolic or elliptic one.
     """
-    if root is None:
-        _check_slope_oracle(surface, limit)
-        root = _root_traces(surface)
+    _check_slope_oracle(surface, limit)
     bound = _trace_bound(limit)
-    checked_length = geometry.checked_length
-    tr_a, tr_b, tr_ab = root
+    checked_length, product = geometry.checked_length, geometry._product
+    tr_a, tr_b, tr_ab = _root_traces(surface)
     out = []
     for slope, t in (((1, 0), tr_a), ((0, 1), tr_b)):
         ell = checked_length(t, surface, slope)
@@ -268,19 +246,21 @@ def _slope_lengths(surface, limit: float, root=None):
 
     exact = surface.exact
     if exact:
-        join = _fricke_join
         stack = [((1, 0), tr_a, (0, 1), tr_b, tr_a * tr_b - tr_ab),
                  ((1, 0), tr_a, (0, -1), tr_b, tr_ab)]
     else:
-        join, mats = _matrix_join, surface._letter_matrices
+        mats = surface._letter_matrices
         stack = [((1, 0), mats[1], (0, 1), mats[2], None),
                  ((1, 0), mats[1], (0, -1), mats[-2], None)]
     measured = 2
     push = stack.append
     while stack:
         left, lv, right, rv, w = stack.pop()
-        v = join(lv, rv, w)
-        t = v if exact else v[0] + v[3]
+        if exact:
+            t = v = lv * rv - w
+        else:
+            v = product(lv, rv)
+            t = v[0] + v[3]
         slope = (left[0] + right[0], left[1] + right[1])
         if abs(t) <= bound and (ell := checked_length(t, surface, slope)) <= limit:
             measured += 1
@@ -293,13 +273,18 @@ def _slope_lengths(surface, limit: float, root=None):
         # subtrees in the order it would pop the two children
         measured += 3
         for x, xv, y, yv, w in ((left, lv, slope, v, rv), (slope, v, right, rv, lv)):
-            cv = join(xv, yv, w)
-            t = cv if exact else cv[0] + cv[3]
+            if exact:
+                t = xv * yv - w
+            else:
+                p, q, r, s = xv
+                e, f, g, h = yv
+                t = (p * e + q * g) + (r * f + s * h)
             if abs(t) <= bound:
                 child = (x[0] + y[0], x[1] + y[1])
                 ell = checked_length(t, surface, child)
                 if ell <= limit:
                     out.append((child, ell))
+                    cv = t if exact else product(xv, yv)
                     push((x, xv, child, cv, yv))
                     push((child, cv, y, yv, xv))
     out.sort(key=itemgetter(1, 0))

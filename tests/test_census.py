@@ -189,6 +189,18 @@ def _conjugates(torus):
             _marked(torus, "diag-3", ((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2))))
 
 
+_RE_MARKED_ROOTS = ((-3, 3, -3), (3, -3, -3), (-3, -3, 3), (3, 3, 3))
+
+
+def _re_markings(torus):
+    # (-a, b), (a, -b), (-a, -b) and the swap (b, a): exact markings of the
+    # same surface whose signed root traces are _RE_MARKED_ROOTS
+    a, b = torus.matrices
+    minus = lambda m: tuple(tuple(-x for x in row) for row in m)
+    return tuple(_marked(torus, "re-marked", ma, mb)
+                 for ma, mb in ((minus(a), b), (a, minus(b)), (minus(a), minus(b)), (b, a)))
+
+
 def _pushed_walk(surface, limit):
     # the slope walk with every node pushed: the children of an over-limit
     # node are popped and measured by a full product and checked_length
@@ -218,28 +230,23 @@ def _pushed_walk(surface, limit):
 
 def test_slope_walk_equals_the_pushed_walk(torus):
     # the same floats, not within a tolerance: the in-place children sum
-    # their traces as _product does, on the non-dyadic conjugate too
-    for surface in (torus, *_conjugates(torus)):
+    # their traces as _product does, on the non-dyadic conjugate too; the
+    # exact re-markings walk signed traces by Fricke's identity
+    for surface in (torus, *_conjugates(torus), *_re_markings(torus)):
         for limit in (0.5, 2.0, 4.0, 15.0, 30.0, 60.0, 90.0, 140.0):
             assert census._slope_lengths(surface, limit) == _pushed_walk(surface, limit)
 
 
-def test_slope_walk_on_exact_markings_with_negative_traces(torus):
-    # -a, -b and the swap of a and b are markings of the same surface with
-    # the same commutator trace; the Fricke walk carries signed traces and
-    # must match the walk of full products, and each |trace| is unchanged
-    a, b = torus.matrices
-    minus = lambda m: tuple(tuple(-x for x in row) for row in m)
-    roots = {(minus(a), b): (-3, 3, -3), (a, minus(b)): (3, -3, -3),
-             (minus(a), minus(b)): (-3, -3, 3), (b, a): (3, 3, 3)}
-    for (ma, mb), root in roots.items():
-        surface = _marked(torus, "re-marked", ma, mb)
+def test_re_markings_with_negative_traces_give_the_torus_lengths(torus):
+    # each re-marking is exact, valid and passes the guard, and its walk
+    # starts from signed root traces yet finds the modular torus's lengths
+    for surface, root in zip(_re_markings(torus), _RE_MARKED_ROOTS):
         assert surface.exact
         assert geometry.validate(surface) == []
-        assert census._check_slope_oracle(surface, 90.0) == root
+        census._check_slope_oracle(surface, 90.0)
+        assert census._root_traces(surface) == root
         for limit in (0.5, 2.0, 4.0, 15.0, 30.0, 90.0):
-            rows, measured = census._slope_lengths(surface, limit)
-            assert (rows, measured) == _pushed_walk(surface, limit)
+            rows, _ = census._slope_lengths(surface, limit)
             ref, _ = census._slope_lengths(torus, limit)
             assert [ell for _, ell in rows] == [ell for _, ell in ref]
 
