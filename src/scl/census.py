@@ -55,16 +55,20 @@ def make_grid(limit: float, points: int):
 
 
 def _checked_grid(grid, limit, name):
-    """Sorted nonempty grid with no NaN point and none beyond ``limit``.
+    """Sorted nonempty grid of positive points, with no NaN point and none
+    beyond ``limit``.
 
     A NaN compares false with everything, so it would slip past the limit
-    check and give a silently wrong count.
+    check and give a silently wrong count.  A length cutoff must be
+    positive, as ``make_grid`` requires of its limit.
     """
     grid = sorted(grid)
     if not grid:
         raise InputError("grid needs at least one point")
     if any(math.isnan(L) for L in grid):
         raise InputError("grid has a NaN point")
+    if not grid[0] > 0:
+        raise InputError(f"grid point {grid[0]} is not positive")
     if grid[-1] > limit:
         raise InputError(f"grid reaches {grid[-1]} beyond {name} {limit}")
     return grid
@@ -311,19 +315,50 @@ def scc_census(surface, limit: float, grid) -> CensusTable:
                   slopes_measured=measured)
 
 
+def _multiples(lengths, L: float) -> int:
+    """The sum of ``int(L / ell)`` over the ascending positive ``lengths``,
+    counted as the sum over m >= 1 of k_m, the number of lengths with
+    ``L / ell >= m``.
+
+    A correctly rounded quotient never increases as ``ell`` grows, so each
+    k_m is the size of a prefix, and k_1 is the ``ell <= L`` prefix.
+    k_{m+1} is bisected for inside [0, k_m) at ``L / (m + 1)`` and then
+    moved until the quotients on either side of it pass and fail the test
+    ``L / ell >= m + 1``, so every count rests on the quotient itself.
+    """
+    n = 0
+    m = 1
+    k = bisect_right(lengths, L)
+    while k:
+        n += k
+        m += 1
+        j = bisect_right(lengths, L / m, 0, k)
+        while j and L / lengths[j - 1] < m:
+            j -= 1
+        while j < k and L / lengths[j] >= m:
+            j += 1
+        k = j
+    return n
+
+
 def mlz_census(surface, limit: float, grid):
     """Integer-multicurve counts and their L^2-normalized ratios.
 
     On the punctured torus every integer simple multicurve is a positive
     multiple of a single curve, so N(L) is a sum of floor(L / length)
-    over the curve census.  The ratio column estimates the Thurston
-    measure of the unit length ball.
+    over the curve census.  ``_multiples`` counts it by one bisection per
+    multiple rather than one division per curve, and settles every
+    boundary on the quotient ``L / length`` itself, so the count is the
+    per-curve sum's exactly.
+    The ratio column estimates the Thurston measure of the unit length
+    ball; it is 0.0 for a count of 0, the only count at which L * L can
+    underflow.
     """
     lengths, grid, measured = _census_lengths(surface, limit, grid)
     rows = []
     ratios = []
     for L in grid:
-        n = sum(int(L / ell) for ell in lengths[:bisect_right(lengths, L)])
+        n = _multiples(lengths, L)
         rows.append((L, n))
-        ratios.append(n / (L * L))
+        ratios.append(n / (L * L) if n else 0.0)
     return _table("mlz", surface, rows, slopes_measured=measured), ratios

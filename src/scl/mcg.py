@@ -304,7 +304,9 @@ class _Orbit:
 
     def finish(self, elements, complete, stats) -> OrbitBall:
         """The ball at cutoff L; raise it as the partial of a cap hit
-        unless its walk completed."""
+        unless its walk completed.  The error names the elements seen and
+        explored and the largest value explored, of which there is one: a
+        walk can hit the cap only once it has explored its start."""
         ball = OrbitBall(seed=self.seed, functional=self.functional, cutoff=self.L,
                          margin=self.margin, surface=self.surface, mode=self.mode,
                          elements=elements, frontier_exhausted=complete,
@@ -312,8 +314,12 @@ class _Orbit:
                                 "act_cache_hits": self.cache_hits, "cap": self.cap,
                                 **self.seconds})
         if not complete:
+            bound = self.margin * self.L
+            top = max(v for v, _ in elements.values() if v <= bound)
             raise ResourceLimitError(
-                f"orbit ball exceeded cap of {self.cap} elements", partial=ball)
+                f"orbit ball exceeded cap of {self.cap} elements: seen {stats['seen']}, "
+                f"explored {stats['explored']}, largest value explored {top:.6g}",
+                partial=ball)
         return ball
 
     def subgroup_ball(self) -> OrbitBall:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -404,6 +406,70 @@ def test_mlz_census(torus):
     assert ratios == [9 / 16]
     below, _ = census.mlz_census(torus, 1.0, [1.0])
     assert below.rows == ((1.0, 0),)
+
+
+def _per_length_sum(lengths, L):
+    # the count as mlz_census took it before it bisected: one division per curve
+    return sum(int(L / ell) for ell in lengths[:bisect_right(lengths, L)])
+
+
+def test_mlz_multiples_equal_the_per_length_sum(torus):
+    rng = random.Random(24)
+    for surface, limit in ((torus, 30.0), (torus, 90.0), (torus, 140.0),
+                           (_conjugates(torus)[0], 90.0)):
+        lengths = [ell for _, ell in census._slope_lengths(surface, limit)[0]]
+        grid = census.make_grid(limit, 300) + [rng.uniform(0.0, limit) for _ in range(300)]
+        # every multiple m * ell of the shortest lengths and its two neighbours,
+        # where a quotient sits on an integer
+        for ell in lengths[:200]:
+            for m in range(1, int(limit / ell) + 1):
+                x = m * ell
+                grid += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        for L in grid:
+            assert census._multiples(lengths, L) == _per_length_sum(lengths, L), (surface, L)
+        table, ratios = census.mlz_census(surface, limit, [L for L in grid if L <= limit])
+        assert all(n == _per_length_sum(lengths, L) for L, n in table.rows)
+        assert ratios == [n / (L * L) if n else 0.0 for L, n in table.rows]
+
+
+def test_mlz_multiples_on_random_lengths_with_ties():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        pool = [rng.uniform(0.01, 3.0) for _ in range(rng.randint(1, 6))]
+        lengths = sorted(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+        for L in ([rng.uniform(0.0, 40.0) for _ in range(3)]
+                  + [m * rng.choice(pool) for m in (1, 2, 7)]):
+            assert census._multiples(lengths, L) == _per_length_sum(lengths, L), (lengths, L)
+
+
+def test_mlz_rows_are_the_per_length_sum_at_the_pinned_limits(torus):
+    # the rows and ratios of L = 4, 30, 60, 90, 140, as the per-length sum gives them
+    for limit in (4.0, 30.0, 60.0, 90.0, 140.0):
+        lengths = [ell for _, ell in census._slope_lengths(torus, limit)[0]]
+        grid = census.make_grid(limit, 30)
+        table, ratios = census.mlz_census(torus, limit, grid)
+        want = [_per_length_sum(lengths, L) for L in grid]
+        assert table.rows == tuple(zip(grid, want))
+        assert ratios == [n / (L * L) for n, L in zip(want, grid)]
+
+
+def test_census_grid_points_must_be_positive(torus):
+    h = graphs.subgroup_class([W("a")], surface=torus, rank=2)
+    ball = mcg.orbit_ball(currents.RationalSubsetCurrent.of_subgroup(h),
+                          (1, 0), 4.0, surface=torus)
+    for table_of in (lambda grid: census.scc_census(torus, 4.0, grid),
+                     lambda grid: census.mlz_census(torus, 4.0, grid)[0],
+                     lambda grid: census.count_by_length(ball, grid)):
+        for bad in ([0.0], [-0.0], [-1.0, 2.0], [2.0, -math.inf], [0.0, 4.0]):
+            with pytest.raises(InputError, match="not positive"):
+                table_of(bad)
+        # a tiny positive point counts nothing
+        assert table_of([1e-320, 4.0]).rows[0] == (1e-320, 0)
+    # L * L underflows to 0 at L = 1e-320, so a count of 0 takes no division
+    for tiny in (1e-320, 5e-324, 1e-160):
+        table, ratios = census.mlz_census(torus, 4.0, [tiny, 4.0])
+        assert table.rows == ((tiny, 0), (4.0, 9))
+        assert ratios == [0.0, 9 / 16]
 
 
 def test_mlz_counts_dominate_scc(torus):

@@ -124,7 +124,8 @@ def test_orbit_count_reports_a_cap_hit_on_stderr(capsys):
     assert code == 4
     assert captured.out.splitlines() == [
         "L,count,frontier_exhausted", "4.0,6,False", "8.0,6,False"]
-    assert captured.err == "scl: resource cap: orbit ball exceeded cap of 5 elements\n"
+    assert captured.err == ("scl: resource cap: orbit ball exceeded cap of 5 elements: "
+                            "seen 6, explored 6, largest value explored 3.52549\n")
 
 
 def test_orbit_count_checks_grid_before_the_ball(capsys, monkeypatch):
@@ -179,7 +180,8 @@ def test_fibers_cap_exit(capsys):
     assert payload == {"L": 30.0, "ball_size": payload["ball_size"],
                        "frontier_exhausted": False}
     assert payload["ball_size"] > 0
-    assert captured.err == "scl: resource cap: orbit ball exceeded cap of 50 elements\n"
+    assert captured.err == ("scl: resource cap: orbit ball exceeded cap of 50 elements: "
+                            "seen 52, explored 52, largest value explored 13.8433\n")
 
 
 def test_low_index(capsys):

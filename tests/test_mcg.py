@@ -228,6 +228,11 @@ def test_orbit_ball_cap_carries_partial(torus):
         assert not partial.frontier_exhausted
         assert len(partial.elements) > cap
         assert partial.stats["seen"] == len(partial.elements)
+        # the message is read off the partial: seen, explored, largest explored
+        top = max(v for v, _ in partial.elements.values() if v <= partial.margin * L)
+        assert str(info.value) == (
+            f"orbit ball exceeded cap of {cap} elements: seen {partial.stats['seen']}, "
+            f"explored {partial.stats['explored']}, largest value explored {top:.6g}")
 
 
 def test_orbit_ball_rejects_a_cap_below_one(torus):
