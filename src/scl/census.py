@@ -324,7 +324,8 @@ def _multiples(lengths, L: float) -> int:
     k_m is the size of a prefix, and k_1 is the ``ell <= L`` prefix.
     k_{m+1} is bisected for inside [0, k_m) at ``L / (m + 1)`` and then
     moved until the quotients on either side of it pass and fail the test
-    ``L / ell >= m + 1``, so every count rests on the quotient itself.
+    ``L / ell >= m + 1``, so every count rests on the quotient itself:
+    ``ell <= L / (m + 1)`` alone can disagree with that test at a boundary.
     """
     n = 0
     m = 1
@@ -349,10 +350,9 @@ def mlz_census(surface, limit: float, grid):
     over the curve census.  ``_multiples`` counts it by one bisection per
     multiple rather than one division per curve, and settles every
     boundary on the quotient ``L / length`` itself, so the count is the
-    per-curve sum's exactly.
-    The ratio column estimates the Thurston measure of the unit length
-    ball; it is 0.0 for a count of 0, the only count at which L * L can
-    underflow.
+    per-curve sum's exactly.  The ratio column estimates the Thurston
+    measure of the unit length ball; it is 0.0 for a count of 0, the only
+    count at which L * L can underflow.
     """
     lengths, grid, measured = _census_lengths(surface, limit, grid)
     rows = []

@@ -409,27 +409,29 @@ def test_mlz_census(torus):
 
 
 def _per_length_sum(lengths, L):
-    # the count as mlz_census took it before it bisected: one division per curve
-    return sum(int(L / ell) for ell in lengths[:bisect_right(lengths, L)])
+    # the count as mlz_census took it before it bisected: int(L / ell) for
+    # each curve with ell <= L, the divisions mapped at C speed
+    return sum(map(int, map(L.__truediv__, lengths[:bisect_right(lengths, L)])))
 
 
 def test_mlz_multiples_equal_the_per_length_sum(torus):
     rng = random.Random(24)
-    for surface, limit in ((torus, 30.0), (torus, 90.0), (torus, 140.0),
-                           (_conjugates(torus)[0], 90.0)):
+    for surface, limit in ((torus, 4.0), (torus, 30.0), (torus, 60.0), (torus, 90.0),
+                           (torus, 140.0), (_conjugates(torus)[0], 60.0)):
         lengths = [ell for _, ell in census._slope_lengths(surface, limit)[0]]
-        grid = census.make_grid(limit, 300) + [rng.uniform(0.0, limit) for _ in range(300)]
+        grid = (census.make_grid(limit, 30) + census.make_grid(limit, 300)
+                + [rng.uniform(0.0, limit) for _ in range(300)])
         # every multiple m * ell of the shortest lengths and its two neighbours,
         # where a quotient sits on an integer
         for ell in lengths[:200]:
             for m in range(1, int(limit / ell) + 1):
                 x = m * ell
                 grid += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-        for L in grid:
-            assert census._multiples(lengths, L) == _per_length_sum(lengths, L), (surface, L)
-        table, ratios = census.mlz_census(surface, limit, [L for L in grid if L <= limit])
-        assert all(n == _per_length_sum(lengths, L) for L, n in table.rows)
-        assert ratios == [n / (L * L) if n else 0.0 for L, n in table.rows]
+        # the rows and ratios, on the 30-point grid of the CLI among the rest
+        grid = sorted(L for L in grid if L <= limit)
+        table, ratios = census.mlz_census(surface, limit, grid)
+        assert table.rows == tuple((L, _per_length_sum(lengths, L)) for L in grid), surface
+        assert ratios == [n / (L * L) for L, n in table.rows]
 
 
 def test_mlz_multiples_on_random_lengths_with_ties():
@@ -440,17 +442,6 @@ def test_mlz_multiples_on_random_lengths_with_ties():
         for L in ([rng.uniform(0.0, 40.0) for _ in range(3)]
                   + [m * rng.choice(pool) for m in (1, 2, 7)]):
             assert census._multiples(lengths, L) == _per_length_sum(lengths, L), (lengths, L)
-
-
-def test_mlz_rows_are_the_per_length_sum_at_the_pinned_limits(torus):
-    # the rows and ratios of L = 4, 30, 60, 90, 140, as the per-length sum gives them
-    for limit in (4.0, 30.0, 60.0, 90.0, 140.0):
-        lengths = [ell for _, ell in census._slope_lengths(torus, limit)[0]]
-        grid = census.make_grid(limit, 30)
-        table, ratios = census.mlz_census(torus, limit, grid)
-        want = [_per_length_sum(lengths, L) for L in grid]
-        assert table.rows == tuple(zip(grid, want))
-        assert ratios == [n / (L * L) for n, L in zip(want, grid)]
 
 
 def test_census_grid_points_must_be_positive(torus):
