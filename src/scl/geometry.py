@@ -300,7 +300,10 @@ def surface_from_dict(data) -> SurfaceStructure:
     sigma = ribbon.order_from_strings(_strings(data, "ribbon_order"))
     peripherals = tuple(map(words.word_from_str, _strings(data, "peripherals")))
     matrices = _field(data, "matrices", dict)
-    letters = [chr(ord("a") + i) for i in range(2 * genus + cusps - 1)]
+    rank = 2 * genus + cusps - 1
+    if not 1 <= rank <= 26:
+        raise InputError(f"genus/cusps: 2g + r - 1 = {rank} is outside [1, 26]")
+    letters = [chr(ord("a") + i) for i in range(rank)]
     _known_keys(matrices, letters, "matrices")
     mats = []
     for letter in letters:

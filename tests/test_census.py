@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -230,13 +231,84 @@ def _pushed_walk(surface, limit):
     return out, measured
 
 
+def _measured_by_popping(rows):
+    # the two roots and every popped slope: the two root edges and both
+    # children of each kept slope that is not a root
+    roots_kept = sum(slope in ((1, 0), (0, 1)) for slope, _ in rows)
+    return 4 + 2 * (len(rows) - roots_kept)
+
+
 def test_slope_walk_equals_the_pushed_walk(torus):
-    # the same floats, not within a tolerance: the in-place children sum
-    # their traces as _product does, on the non-dyadic conjugate too; the
-    # exact re-markings walk signed traces by Fricke's identity
+    # the same floats, not within a tolerance: the float walk sums a
+    # trace as _product does, on the non-dyadic conjugate too; the exact
+    # re-markings walk signed traces by Fricke's identity
     for surface in (torus, *_conjugates(torus), *_re_markings(torus)):
         for limit in (0.5, 2.0, 4.0, 15.0, 30.0, 60.0, 90.0, 140.0):
-            assert census._slope_lengths(surface, limit) == _pushed_walk(surface, limit)
+            rows, measured = census._slope_lengths(surface, limit)
+            assert rows == _pushed_walk(surface, limit)[0]
+            assert measured == _measured_by_popping(rows)
+
+
+def _inverse(m):
+    (a, b), (c, d) = m
+    return (d, -b), (-c, a)
+
+
+def _negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+# Nielsen moves on a pair (a, b): transvections, sign flips and the swap
+_NIELSEN_MOVES = (
+    lambda a, b: (_times(a, b), b), lambda a, b: (_times(a, _inverse(b)), b),
+    lambda a, b: (_times(b, a), b), lambda a, b: (a, _times(b, a)),
+    lambda a, b: (a, _times(b, _inverse(a))), lambda a, b: (a, _times(a, b)),
+    lambda a, b: (_negated(a), b), lambda a, b: (a, _negated(b)), lambda a, b: (b, a))
+
+
+def _nielsen_markings(torus, rng, count):
+    # exact markings of the modular torus, each 1 to 5 random moves away
+    for _ in range(count):
+        a, b = torus.matrices
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.choice(_NIELSEN_MOVES)(a, b)
+        yield _marked(torus, "nielsen", a, b)
+
+
+def _fricke_tori(torus, rng, count):
+    # float punctured tori with traces (x, y, z), 2 < x, y < 6 and z either
+    # root of x^2 + y^2 + z^2 = xyz: a = [[x, -1], [1, 0]] and
+    # b = [[0, s], [-1/s, y]], so that tr ab = s + 1/s = z
+    while count:
+        x, y = rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0)
+        disc = (x * y) ** 2 - 4.0 * (x * x + y * y)
+        if disc < 0.0:
+            continue
+        z = (x * y + rng.choice((-1.0, 1.0)) * math.sqrt(disc)) / 2.0
+        s = (z + math.sqrt(z * z - 4.0)) / 2.0
+        count -= 1
+        yield _marked(torus, "fricke", ((x, -1.0), (1.0, 0.0)), ((0.0, s), (-1.0 / s, y)))
+
+
+def test_the_guard_is_enough_for_the_slope_walk(torus):
+    # every random marking is refused by the guard or walked to the rows
+    # of the pushed walk, which measures the children of an over-limit
+    # slope too; both outcomes come up for exact and float markings
+    rng = random.Random(2025)
+    outcomes = Counter()
+    for surface in (*_nielsen_markings(torus, rng, 1500), *_fricke_tori(torus, rng, 400)):
+        try:
+            census._check_slope_oracle(surface, 15.0)
+        except ConfigError:
+            outcomes[surface.name, "refused"] += 1
+            continue
+        outcomes[surface.name, "walked"] += 1
+        for limit in (2.0, 4.0, 8.0, 15.0):
+            rows, measured = census._slope_lengths(surface, limit)
+            assert rows == _pushed_walk(surface, limit)[0]
+            assert measured == _measured_by_popping(rows)
+    for kind in ("nielsen", "fricke"):
+        assert outcomes[kind, "refused"] >= 50 and outcomes[kind, "walked"] >= 50, outcomes
 
 
 def test_re_markings_with_negative_traces_give_the_torus_lengths(torus):
@@ -264,12 +336,13 @@ def test_slope_walk_rows_are_pinned(torus):
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
-def test_slopes_measured_counts_every_child_checked(torus):
-    # 2 roots, 4,402 popped nodes and 4,404 children of over-limit nodes
-    assert census._slope_lengths(torus, 90.0)[1] == 8808
-    assert census.scc_census(torus, 90.0, [90.0]).meta["slopes_measured"] == 8808
+def test_slopes_measured_counts_the_roots_and_every_slope_popped(torus):
+    # 2 roots and 4,402 popped slopes: the two root edges and both
+    # children of each of the 2,200 kept slopes that are not roots
+    assert census._slope_lengths(torus, 90.0)[1] == 4404
+    assert census.scc_census(torus, 90.0, [90.0]).meta["slopes_measured"] == 4404
     table, _ = census.mlz_census(torus, 90.0, [4.0, 90.0])
-    assert table.meta["slopes_measured"] == 8808
+    assert table.meta["slopes_measured"] == 4404
 
 
 def test_only_slopes_under_the_trace_bound_take_a_length(torus, monkeypatch):
@@ -282,30 +355,11 @@ def test_only_slopes_under_the_trace_bound_take_a_length(torus, monkeypatch):
     monkeypatch.setattr(geometry, "checked_length", checked_length)
     rows, measured = census._slope_lengths(torus, 90.0)
     # on the modular torus the bound is tight: every slope measured by a
-    # length is kept, a quarter of the slopes walked
+    # length is kept, half the slopes walked
     assert sorted(calls) == sorted(slope for slope, _ in rows)
-    assert 4 * len(calls) == measured
+    assert 2 * len(calls) == measured
     assert census._trace_bound(90.0) > 2 * math.cosh(45.0)
     assert census._trace_bound(1500.0) == math.inf
-
-
-def test_in_place_children_that_come_out_inside_the_limit(torus, monkeypatch):
-    # on a marking whose root is not the trace minimum, a child of an
-    # over-limit node can be inside the limit; with the marking check
-    # lifted, the walk still matches the pushed walk there
-    # there, on its conjugate by the shear [[1, 1/3], [0, 1]] too, where
-    # some kept children's lengths move if their traces are summed in
-    # another order
-    monkeypatch.setattr(census, "_check_slope_oracle", lambda surface, limit: None)
-    shear, unshear = ((1, 1 / 3), (0, 1)), ((1, -1 / 3), (0, 1))
-    for k in range(1, 7):
-        for which in "ab":
-            surface = _twisted(torus, k, which)
-            conjugate = _marked(torus, "sheared", *(_times(_times(shear, m), unshear)
-                                                    for m in surface.matrices))
-            for s in (surface, conjugate):
-                for limit in (2.0, 4.0, 8.0, 15.0):
-                    assert census._slope_lengths(s, limit) == _pushed_walk(s, limit)
 
 
 def test_slope_oracle_refuses_a_marking_whose_root_is_not_the_trace_minimum(torus):

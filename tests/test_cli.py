@@ -343,6 +343,18 @@ def test_oracle_refusal_is_a_configuration_error(tmp_path, capsys):
     assert "local minimum" in err
 
 
+def test_surface_file_with_a_huge_genus_is_an_input_error(tmp_path, capsys):
+    # 2g + r - 1 = 2,000,000 letters: exit 2 with the rank named, no traceback
+    config = json.loads((Path(__file__).parent / "data" / "modular_torus.json").read_text())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**config, "genus": 1000000}))
+    code = cli.run(["--surface", str(path), "--no-meta", "verify-example"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "scl: genus/cusps: 2g + r - 1 = 2000000 is outside [1, 26]\n"
+    assert "Traceback" not in err
+
+
 def test_surface_file_rejects_the_annulus(tmp_path, capsys):
     # rank and ribbon check out, but 2g - 2 + r = 0: no hyperbolic structure
     config = {"genus": 0, "cusps": 2, "ribbon_order": ["a+", "a-"],

@@ -187,6 +187,19 @@ def test_surface_json_null_is_the_wrong_type_not_a_missing_field(entry, key, kin
         geometry.surface_from_dict(payload)
 
 
+@pytest.mark.parametrize("genus, cusps", [
+    (1000000, 1), (10 ** 30, 1), (13, 2), (-1, 1), (-5, 3), (0, 1), (0, 0)])
+def test_surface_json_rank_outside_the_alphabet(genus, cusps):
+    # 2g + r - 1 generators need one letter each, a to z: any other rank is
+    # an input error before the alphabet is built, not a chr() ValueError
+    # or an empty alphabet
+    path = Path(__file__).resolve().parent / "data" / "modular_torus.json"
+    payload = {**json.loads(path.read_text()), "genus": genus, "cusps": cusps}
+    rank = 2 * genus + cusps - 1
+    with pytest.raises(InputError, match=rf"2g \+ r - 1 = {rank} is outside \[1, 26\]$"):
+        geometry.surface_from_dict(payload)
+
+
 def test_surface_json_absent_field_is_its_default_or_missing():
     path = Path(__file__).resolve().parent / "data" / "modular_torus.json"
     payload = json.loads(path.read_text())
