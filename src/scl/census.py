@@ -150,9 +150,11 @@ def christoffel_word(p: int, q: int):
     return tuple(out)
 
 
-def _check_slope_oracle(surface, limit: float) -> None:
-    """Raise unless the limit is finite and positive and the slope walk of
-    this surface finds every curve.
+def _check_slope_oracle(surface, limit: float):
+    """The root triple (tr a, tr b, tr ab) of this surface, each trace
+    summed as ``geometry._product`` sums a diagonal; raise unless the limit
+    is finite and positive and the slope walk from that root finds every
+    curve.
 
     The walk prunes a subtree once traces pass the limit, which is sound
     only if traces grow away from its root, the edge between the
@@ -172,30 +174,16 @@ def _check_slope_oracle(surface, limit: float) -> None:
             "the slope oracle knows only its curves")
     if not 0 < limit < math.inf:
         raise InputError(f"limit must be finite and positive, got {limit}")
-    x, y, z = _root_traces(surface)
+    mats = surface._letter_matrices
+    ab = geometry._product(mats[1], mats[2])
+    x, y, z = mats[1][0] + mats[1][3], mats[2][0] + mats[2][3], ab[0] + ab[3]
     for zz in (z, x * y - z):
         if abs(y * zz - x) < abs(x) or abs(x * zz - y) < abs(y):
             raise ConfigError(
                 f"surface {surface.name!r}: the root (tr a, tr b, tr ab) = ({x}, {y}, {z}) "
                 "is not a local minimum of the trace tree, so the slope walk could miss "
                 "curves")
-
-
-def _root_traces(surface):
-    """(tr a, tr b, tr ab), each summed as ``_product`` sums a diagonal."""
-    mats = surface._letter_matrices
-    ab = geometry._product(mats[1], mats[2])
-    return mats[1][0] + mats[1][3], mats[2][0] + mats[2][3], ab[0] + ab[3]
-
-
-def _census_lengths(surface, limit: float, grid):
-    """The sorted lengths of the slope oracle and the checked grid.  The
-    surface, the limit and the grid are checked before the walk, so a bad
-    grid costs no L^2-sized walk."""
-    _check_slope_oracle(surface, limit)
-    grid = _checked_grid(grid, limit, "limit")
-    rows, measured = _slope_lengths(surface, limit)
-    return [ell for _, ell in rows], grid, measured
+    return x, y, z
 
 
 def _trace_bound(limit: float) -> float:
@@ -228,22 +216,23 @@ def _slope_lengths(surface, limit: float):
     2x2 product measures the mediant, its trace the sum of the product's
     diagonal, so no length moves by an ulp; the third trace goes unused.
 
-    ``_check_slope_oracle`` makes the root edge the sink of the trace
-    tree, so |trace| never decreases along the walk and no descendant of
-    an over-limit slope is inside the limit: that slope is dropped with
-    its subtree.  A trace above 2 cosh(limit / 2), with room for the
-    arccosh's rounding, is over the limit with no length taken.  Every
-    other trace goes through ``checked_length``, which raises on a
-    parabolic or elliptic one.
+    The walk starts from the root triple that ``_check_slope_oracle``
+    returns, the one check of the surface and the limit on this path.
+    That check makes the root edge the sink of the trace tree, so |trace|
+    never decreases along the walk and no descendant of an over-limit
+    slope is inside the limit: that slope is dropped with its subtree.
+    A trace above 2 cosh(limit / 2), with room for the arccosh's
+    rounding, is over the limit with no length taken.  Every other trace
+    goes through ``checked_length``, which raises on a parabolic or
+    elliptic one.
 
     The slopes measured, reported as ``slopes_measured``, are the two
     roots and every slope popped: 4 + 2 (k - k0) for k kept slopes, k0
     of them roots (4,404 at L = 90 on the modular torus).
     """
-    _check_slope_oracle(surface, limit)
+    tr_a, tr_b, tr_ab = _check_slope_oracle(surface, limit)
     bound = _trace_bound(limit)
     checked_length, product = geometry.checked_length, geometry._product
-    tr_a, tr_b, tr_ab = _root_traces(surface)
     out = []
     for slope, t in (((1, 0), tr_a), ((0, 1), tr_b)):
         ell = checked_length(t, surface, slope)
@@ -294,9 +283,12 @@ def scc_classes(surface, limit: float):
 
 
 def scc_census(surface, limit: float, grid) -> CensusTable:
-    """Counts of simple closed geodesics up to each grid length; an empty
-    grid is an InputError."""
-    lengths, grid, measured = _census_lengths(surface, limit, grid)
+    """Counts of simple closed geodesics up to each grid length.  The grid
+    is checked before the guarded walk, so a bad grid (an empty one, say)
+    is an InputError that costs no walk."""
+    grid = _checked_grid(grid, limit, "limit")
+    rows, measured = _slope_lengths(surface, limit)
+    lengths = [ell for _, ell in rows]
     return _table("scc", surface, [(L, bisect_right(lengths, L)) for L in grid],
                   slopes_measured=measured)
 
@@ -338,9 +330,12 @@ def mlz_census(surface, limit: float, grid):
     boundary on the quotient ``L / length`` itself, so the count is the
     per-curve sum's exactly.  The ratio column estimates the Thurston
     measure of the unit length ball; it is 0.0 for a count of 0, the only
-    count at which L * L can underflow.
+    count at which L * L can underflow.  The grid is checked before the
+    guarded walk, as in ``scc_census``.
     """
-    lengths, grid, measured = _census_lengths(surface, limit, grid)
+    grid = _checked_grid(grid, limit, "limit")
+    curves, measured = _slope_lengths(surface, limit)
+    lengths = [ell for _, ell in curves]
     rows = []
     ratios = []
     for L in grid:

@@ -74,20 +74,18 @@ def _undoes(s: words.Automorphism, t: words.Automorphism) -> bool:
 
 
 def twist_generators(surface):
-    """Inverse-closed twist generating set for the mapping class group.
+    """Twist generating set for the mapping class group: the surface's
+    configured ``mcg_generators``, else the built-in inverse-closed set of
+    the once-punctured torus.
 
-    Built-in for the once-punctured torus; user surfaces must supply an
-    inverse-closed list in their config, or orbit balls would silently
-    miss every element reached only through a missing inverse.
+    A configured list must be inverse-closed, or orbit balls would
+    silently miss every element reached only through a missing inverse.
+    The orbit checks that when it builds its inverse table, and refuses a
+    list without inverses.
     """
     if surface.mcg_images:
-        gens = [mapping_class(imgs, surface, label or f"t{i}")
+        return [mapping_class(imgs, surface, label or f"t{i}")
                 for i, (imgs, label) in enumerate(surface.mcg_images)]
-        for t in gens:
-            if not any(_undoes(s, t) for s in gens):
-                raise ConfigError(f"mcg_generators must be inverse-closed: {t.label!r} "
-                                  "has no listed inverse")
-        return gens
     if surface.is_punctured_torus:
         a, b = (1,), (2,)
         table = [
@@ -150,10 +148,6 @@ class OrbitBall(Record):
 
     _fields = ("seed", "functional", "cutoff", "margin", "surface", "mode", "elements",
                "frontier_exhausted", "stats")
-    # a ball is the one mutable record, so it has no hash
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def members(self, limit=None):
         """Deterministically ordered (key, value, b_key) rows inside the ball."""
@@ -232,7 +226,10 @@ class _Orbit:
                         for t in self.twists]
         for t, inv in zip(self.twists, self.inverse):
             if inv is None:
-                raise InputError(f"twist {t.label!r} has no inverse in the twist list")
+                # twists read from the surface are its configuration (exit 3);
+                # a list passed in is the caller's input
+                raise (ConfigError if twists is None else InputError)(
+                    f"twist {t.label!r} has no inverse in the twist list")
         self.act_cache = {}  # (twist index, class key) -> image class key
         self.actions = self.cache_hits = 0
         self.seconds = dict.fromkeys(("subgroup_walk_s", "curve_walk_s", "lift_s"), 0.0)
@@ -290,23 +287,26 @@ class _Orbit:
         self.seconds["subgroup_walk_s"] = perf_counter() - start
         return found
 
-    def counts(self, values, weight):
-        bound = self.margin * self.L
+    def counts(self, values, weight, cutoff):
+        """Elements seen, explored by a walk with this cutoff, and members,
+        counting ``weight`` elements per value."""
+        bound = self.margin * cutoff
         return {"seen": weight * len(values),
                 "explored": weight * sum(v <= bound for v in values),
                 "members": weight * sum(v <= self.L for v in values)}
 
-    def subgroup_stats(self, elements):
+    def subgroup_stats(self, elements, cutoff):
         b0 = self.seed_record[1]
-        return {**self.counts([v for v, _ in elements.values()], 1),
+        return {**self.counts([v for v, _ in elements.values()], 1, cutoff),
                 "curves_seen": len({b for _, b in elements.values()}),
                 "fiber_size": sum(b == b0 for _, b in elements.values())}
 
-    def finish(self, elements, complete, stats) -> OrbitBall:
+    def finish(self, elements, complete, stats, cutoff) -> OrbitBall:
         """The ball at cutoff L; raise it as the partial of a cap hit
-        unless its walk completed.  The error names the elements seen and
-        explored and the largest value explored, of which there is one: a
-        walk can hit the cap only once it has explored its start."""
+        unless its walk, the one with this ``cutoff``, completed.  The
+        error names the elements seen and explored and the largest value
+        explored by that walk, of which there is one: a walk can hit the
+        cap only once it has explored its start."""
         ball = OrbitBall(seed=self.seed, functional=self.functional, cutoff=self.L,
                          margin=self.margin, surface=self.surface, mode=self.mode,
                          elements=elements, frontier_exhausted=complete,
@@ -314,7 +314,7 @@ class _Orbit:
                                 "act_cache_hits": self.cache_hits, "cap": self.cap,
                                 **self.seconds})
         if not complete:
-            bound = self.margin * self.L
+            bound = self.margin * cutoff
             top = max(v for v, _ in elements.values() if v <= bound)
             raise ResourceLimitError(
                 f"orbit ball exceeded cap of {self.cap} elements: seen {stats['seen']}, "
@@ -325,7 +325,7 @@ class _Orbit:
     def subgroup_ball(self) -> OrbitBall:
         """The ball from the subgroup-level walk at cutoff L."""
         elements, _, complete = self.walk(self.L)
-        return self.finish(elements, complete, self.subgroup_stats(elements))
+        return self.finish(elements, complete, self.subgroup_stats(elements, self.L), self.L)
 
     def lifted_ball(self) -> OrbitBall:
         """The ball grown on the orbit of B(seed), each member's fiber
@@ -339,7 +339,7 @@ class _Orbit:
         v0, b0 = self.seed_record
         found, _, complete = self.walk(v0)
         if not complete:
-            return self.finish(found, False, self.subgroup_stats(found))
+            return self.finish(found, False, self.subgroup_stats(found, v0), v0)
         fiber0 = [k for k, (_, b) in found.items() if b == b0]
         push = self.push_rule(len(fiber0))
         curves, tree, complete, weights = self.curve_walk(len(fiber0))
@@ -347,9 +347,9 @@ class _Orbit:
         kept = [mu for mu, (value,) in curves.items() if not complete or value <= self.L]
         elements = self.lift(curves, kept, tree, {k: found[k] for k in fiber0}, weights, push)
         self.seconds["lift_s"] = perf_counter() - start
-        stats = {**self.counts([v for v, in curves.values()], len(fiber0)),
+        stats = {**self.counts([v for v, in curves.values()], len(fiber0), self.L),
                  "curves_seen": len(curves), "fiber_size": len(fiber0)}
-        return self.finish(elements, complete, stats)
+        return self.finish(elements, complete, stats, self.L)
 
     def push_rule(self, fiber_size):
         """The lift's rule ``push(fiber, t_idx, node, b_key)``: the fiber over

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from scl import census, currents, geometry, graphs, mcg, words
-from scl.errors import ConfigError, InputError, LemmaHypothesisError
+from scl.errors import ConfigError, InputError, LemmaHypothesisError, ResourceLimitError
 
 W = words.word_from_str
 DATA = Path(__file__).resolve().parent / "data"
@@ -317,8 +317,7 @@ def test_re_markings_with_negative_traces_give_the_torus_lengths(torus):
     for surface, root in zip(_re_markings(torus), _RE_MARKED_ROOTS):
         assert surface.exact
         assert geometry.validate(surface) == []
-        census._check_slope_oracle(surface, 90.0)
-        assert census._root_traces(surface) == root
+        assert census._check_slope_oracle(surface, 90.0) == root
         for limit in (0.5, 2.0, 4.0, 15.0, 30.0, 90.0):
             rows, _ = census._slope_lengths(surface, limit)
             ref, _ = census._slope_lengths(torus, limit)
@@ -409,6 +408,32 @@ def test_census_grid_is_checked_before_the_slope_walk(torus, monkeypatch):
         census.scc_census(torus, 180.0, [200.0])
 
 
+def test_each_census_checks_the_slope_oracle_once(torus, monkeypatch):
+    # the guard returns the root triple the walk starts from, so one call
+    # checks the surface and the limit; a census checks its grid first
+    calls = []
+    check = census._check_slope_oracle
+
+    def counted(surface, limit):
+        calls.append(limit)
+        return check(surface, limit)
+
+    monkeypatch.setattr(census, "_check_slope_oracle", counted)
+    for run in (lambda: census.scc_classes(torus, 10.0),
+                lambda: census.scc_census(torus, 10.0, [5.0, 10.0]),
+                lambda: census.mlz_census(torus, 10.0, [5.0, 10.0])):
+        calls.clear()
+        run()
+        assert calls == [10.0]
+    # so a bad grid on a refused surface is an input error, not a config one
+    calls.clear()
+    refused = _twisted(torus, 5, "b")
+    for run in (census.scc_census, census.mlz_census):
+        with pytest.raises(InputError, match="at least one point"):
+            run(refused, 4.0, [])
+    assert calls == []
+
+
 def test_fit_exponent_synthetic():
     quad = census.CensusTable(
         rows=tuple((L, L * L) for L in range(2, 40)), meta={})
@@ -423,6 +448,13 @@ def test_fit_exponent_needs_rows():
     t = census.CensusTable(rows=((1.0, 1), (2.0, 4)), meta={})
     with pytest.raises(InputError):
         census.fit_exponent(t, (0.5, 3.0))
+
+
+def test_fit_exponent_needs_two_abscissae():
+    # three positive rows, all at one L, have no slope
+    t = census.CensusTable(rows=((2.0, 1), (2.0, 2), (2.0, 3)), meta={})
+    with pytest.raises(InputError, match="^window collapses to a single abscissa$"):
+        census.fit_exponent(t, (1.0, 3.0))
 
 
 def test_count_by_length_grid_guard(torus):
@@ -452,6 +484,14 @@ def test_fiber_histogram_rejects_zero_seed(torus):
                           (1, 0), 5.0, surface=torus)
     with pytest.raises(LemmaHypothesisError):
         census.fiber_histogram(ball)
+
+
+def test_fiber_histogram_rejects_a_cap_hit_partial(torus):
+    # a partial's fibers may be cut short by the cap
+    with pytest.raises(ResourceLimitError) as info:
+        mcg.orbit_ball(currents.parse_current("1:a", torus), (1, 0), 6.0, surface=torus, cap=4)
+    with pytest.raises(InputError, match="^fiber statistics need a frontier-exhausted ball$"):
+        census.fiber_histogram(info.value.partial)
 
 
 def test_mlz_census(torus):

@@ -57,6 +57,35 @@ def test_validation_excludes_the_annulus():
         geometry.validated(annulus)
 
 
+def _with(torus, **fields):
+    values = {"name": "changed", "genus": torus.genus, "cusps": torus.cusps,
+              "matrices": torus.matrices, "peripheral_words": torus.peripheral_words,
+              "ribbon_order": torus.ribbon_order, **fields}
+    return geometry.SurfaceStructure(**values)
+
+
+@pytest.mark.parametrize("fields, problems", [
+    # one letter per generator: 28 matrices have no alphabet, so nothing else is checked
+    ({"genus": 13, "cusps": 3, "matrices": ((((1, 1), (1, 2)),) * 28)},
+     ["matrices: rank 28 outside [1, 26]"]),
+    ({"cusps": 0},
+     ["cusps: need r >= 1, got 0",
+      "genus/cusps: (1, 0) has 2g - 2 + r <= 0, not hyperbolic",
+      "matrices: rank 2 != 2g + r - 1 = 1",
+      "peripheral_words: 1 words for 0 cusps"]),
+    ({"genus": 2}, ["matrices: rank 2 != 2g + r - 1 = 4"]),
+    ({"peripheral_words": ((),)}, ["peripheral_words[0]: trivial word"]),
+    # a+ a- b+ b- thickens the bouquet to a sphere with three boundary cycles
+    ({"ribbon_order": ((0, 1), (0, -1), (1, 1), (1, -1))},
+     ["ribbon_order: bouquet boundary does not reproduce the peripheral classes"]),
+], ids=["rank-28", "no-cusps", "rank-not-2g+r-1", "trivial-peripheral", "ribbon-boundary"])
+def test_validation_names_each_broken_invariant(torus, fields, problems):
+    broken = _with(torus, **fields)
+    assert geometry.validate(broken) == problems
+    with pytest.raises(ConfigError, match=f"^{re.escape('; '.join(problems))}$"):
+        geometry.validated(broken)
+
+
 def test_traces(torus):
     assert geometry.holonomy_trace(W("a"), torus) == 3
     assert geometry.holonomy_trace(W("b"), torus) == 3
@@ -136,6 +165,9 @@ def test_discreteness_guard():
         ribbon_order=((0, 1), (1, 1), (0, -1), (1, -1)))
     with pytest.raises(DiscretenessError):
         geometry.geodesic_length(words.conj_class(W("a")), bad)
+    with pytest.raises(DiscretenessError,
+                       match=r"^\|trace\| = 0 < 2 for nontrivial word; representation not discrete$"):
+        geometry.classify(W("a"), bad)
 
 
 def test_surface_json_round_trip(torus):
@@ -197,6 +229,17 @@ def test_surface_json_rank_outside_the_alphabet(genus, cusps):
     payload = {**json.loads(path.read_text()), "genus": genus, "cusps": cusps}
     rank = 2 * genus + cusps - 1
     with pytest.raises(InputError, match=rf"2g \+ r - 1 = {rank} is outside \[1, 26\]$"):
+        geometry.surface_from_dict(payload)
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ({"a": [["1", 1], [1, 2]], "b": [[1, -1], [-1, 2]]}, "matrix entry '1' is not a number"),
+    ({"a": [[1, 1], [1, 2]]}, "matrices: missing generator 'b'"),
+], ids=["string-entry", "missing-generator"])
+def test_surface_json_matrices_are_numbers_for_every_generator(matrices, message):
+    path = Path(__file__).resolve().parent / "data" / "modular_torus.json"
+    payload = {**json.loads(path.read_text()), "matrices": matrices}
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         geometry.surface_from_dict(payload)
 
 

@@ -75,6 +75,19 @@ def test_mapping_class_rejects_non_surjective(torus):
         mcg.mapping_class([W("aa"), W("b")], torus)
 
 
+def test_mapping_class_needs_one_image_per_generator_and_keeps_the_cusps(torus):
+    with pytest.raises(InputError, match="^need 2 generator images, got 1$"):
+        mcg.mapping_class([W("a")], torus)
+    # a -> ab is onto, but sends the cusp a of a four-punctured sphere to a
+    # non-peripheral class; mapping_class reads only the rank and the cusps
+    sphere = geometry.SurfaceStructure(
+        name="four-punctured", genus=0, cusps=4, matrices=(((1, 0), (0, 1)),) * 3,
+        peripheral_words=tuple(map(W, ("a", "b", "c", "CBA"))),
+        ribbon_order=((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)))
+    with pytest.raises(InputError, match="^automorphism does not preserve the cusp set$"):
+        mcg.mapping_class([W("ab"), W("b"), W("c")], sphere)
+
+
 def test_twist_generators_need_config(torus):
     wide = torus.__class__(
         name="wide", genus=2, cusps=1, matrices=torus.matrices * 2,
@@ -217,22 +230,40 @@ def test_orbit_ball_monotone_and_margin_stable(torus):
 
 
 def test_orbit_ball_cap_carries_partial(torus):
-    # seed <a> (value 1.92); <aa,b> (value 3.53) with a cap hit inside the
-    # walk that finds its fiber (at cutoff 3.53) and inside the curve walk
-    for gens, L, cap in ((("a",), 6.0, 4), (("aa", "b"), 30.0, 3), (("aa", "b"), 30.0, 40)):
+    # seed <a> (value 1.92) and <aa,b> (value 3.53) with a cap hit inside the
+    # walk that finds the seed's fiber, at cutoff the seed's value, and
+    # <aa,b> with one inside the curve walk, at cutoff L
+    for gens, L, cap, in_fiber_walk in ((("a",), 6.0, 4, True), (("aa", "b"), 30.0, 3, True),
+                                        (("aa", "b"), 30.0, 40, False)):
+        seed = seed_of(torus, *gens)
         with pytest.raises(ResourceLimitError) as info:
-            mcg.orbit_ball(seed_of(torus, *gens), (1, 0), L, surface=torus, cap=cap)
+            mcg.orbit_ball(seed, (1, 0), L, surface=torus, cap=cap)
         partial = info.value.partial
         assert partial is not None
         assert partial.cutoff == L
         assert not partial.frontier_exhausted
         assert len(partial.elements) > cap
         assert partial.stats["seen"] == len(partial.elements)
-        # the message is read off the partial: seen, explored, largest explored
-        top = max(v for v, _ in partial.elements.values() if v <= partial.margin * L)
+        # the message is read off the partial: seen, explored, largest
+        # explored, each against the bound of the walk that hit the cap
+        cutoff = currents.evaluate((1, 0), seed.terms, torus)[0] if in_fiber_walk else L
+        explored = [v for v, _ in partial.elements.values() if v <= partial.margin * cutoff]
+        assert partial.stats["explored"] == len(explored)
+        top = max(explored)
         assert str(info.value) == (
             f"orbit ball exceeded cap of {cap} elements: seen {partial.stats['seen']}, "
             f"explored {partial.stats['explored']}, largest value explored {top:.6g}")
+
+
+def test_a_cap_hit_in_the_fiber_walk_counts_against_that_walks_bound(torus):
+    # the walk that finds F0 explores up to 1.5 * 4.48792 = 6.73188, the
+    # seed's value with the margin, not up to 1.5 * L = 45
+    seed = currents.parse_current("1:aa,b;1/2:a", torus)
+    with pytest.raises(ResourceLimitError) as info:
+        mcg.orbit_ball(seed, (1, 0), 30.0, surface=torus, cap=10)
+    assert str(info.value) == ("orbit ball exceeded cap of 10 elements: seen 11, "
+                               "explored 9, largest value explored 6.71852")
+    assert info.value.partial.stats["explored"] == 9
 
 
 def test_orbit_ball_rejects_a_cap_below_one(torus):
@@ -268,6 +299,17 @@ def test_orbit_ball_input_guards(torus):
     assert index2.frontier_exhausted and index2.count_leq(13.0) == 3
 
 
+def test_a_configured_twist_list_without_inverses_is_a_config_error(torus):
+    # the orbit's inverse table is the one inverse check; twists read from
+    # the surface are its configuration, so their fault is a ConfigError
+    images = ((((1,), (1, 2)), "ta"), (((1, 2), (2,)), "tb"))
+    surface = geometry.SurfaceStructure(torus.name, torus.genus, torus.cusps, torus.matrices,
+                                        torus.peripheral_words, torus.ribbon_order, images)
+    assert [t.label for t in mcg.twist_generators(surface)] == ["ta", "tb"]
+    with pytest.raises(ConfigError, match="^twist 'ta' has no inverse in the twist list$"):
+        mcg.orbit_ball(seed_of(surface, "a"), (1, 0), 8.0, surface=surface)
+
+
 def test_orbit_ball_values_are_the_public_shadows(torus):
     seed = currents.parse_current("1:aa,b;1/2:a", torus)
     spec = currents.parse_functional("la")
@@ -285,6 +327,15 @@ def test_orbit_ball_modes(torus):
     ball_eta = mcg.orbit_ball(seed, (1, 0), 4.5, surface=torus, mode="eta")
     ball_j = mcg.orbit_ball(seed.terms, (1, 0), 4.5, surface=torus, mode="J")
     assert ball_j.count_leq(4.5) >= ball_eta.count_leq(4.5)
+
+
+def test_orbit_ball_refuses_a_query_past_its_cutoff_and_an_unknown_mode(torus):
+    seed = seed_of(torus, "a")
+    ball = mcg.orbit_ball(seed, (1, 0), 4.0, surface=torus)
+    with pytest.raises(InputError, match="^query 5.0 beyond ball cutoff 4.0$"):
+        ball.members(5.0)
+    with pytest.raises(InputError, match="^mode must be 'eta' or 'J', got 'K'$"):
+        mcg.orbit_ball(seed, (1, 0), 4.0, surface=torus, mode="K")
 
 
 def test_orbit_ball_matches_fold_free_curve_oracle(torus):
@@ -409,7 +460,7 @@ def test_cyclic_ball_pins_the_curve_ball_at_60(torus):
 # and its (seen, explored, members, curves_seen, fiber_size)
 CAP_HIT_PARTIALS = {
     ("1:a", 6.0, 4): ("28f23b611945e3578ffe47e26f7c46b3527de0105172380ca8b76decf942a6c7",
-                      (5, 5, 5, 5, 1)),
+                      (5, 3, 5, 5, 1)),
     ("1:a", 24.0, 10): ("37f5c3f0b2dafa63db3da82902c20e0610b3637dfbd5c7ba9f0a6ec1cbdbe5de",
                         (11, 11, 11, 11, 1)),
     ("1:a", 24.0, 57): ("12beccee4ca2424121bfdc85cd738a2b9ef865008f5cf5cd8ae17b95cb21f94f",

@@ -40,6 +40,15 @@ def test_order_validation(torus):
         ribbon.boundary_cycles(graphs.bouquet(2), bad)
 
 
+def test_order_validation_names_repeated_and_foreign_darts(torus):
+    assert ribbon.check_order(((0, 1), *torus.ribbon_order), 2) == [
+        "ribbon order repeats a dart type"]
+    assert ribbon.check_order((*torus.ribbon_order, (2, 1)), 2) == [
+        "ribbon order has foreign dart types: [(2, 1)]"]
+    with pytest.raises(InputError, match=r"^bad dart type 'a\*'; expected like 'a\+'$"):
+        ribbon.order_from_strings(["a*"])
+
+
 def test_order_string_round_trip(torus):
     assert ribbon.order_from_strings(["a+", "b+", "a-", "b-"]) == torus.ribbon_order
 
