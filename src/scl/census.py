@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from operator import itemgetter
 
-from . import currents, geometry, words
-from .errors import ConfigError, InputError, LemmaHypothesisError, Record
+from . import currents, geometry, mcg, words
+from .errors import ConfigError, InputError, LemmaHypothesisError, Record, ResourceLimitError
 from .mcg import OrbitBall
 
 
@@ -203,7 +203,7 @@ def _slope_lengths(surface, limit: float):
     Walks the Stern-Brocot tree of coprime pairs on the two branches
     (1, 0)-(0, 1) and (1, 0)-(0, -1).  The Christoffel word of a mediant
     is the product LR of its parents' words, smaller slope first.  On an
-    exact surface a stack entry is an edge (L, R) and carries
+    exact surface a queue entry is an edge (L, R) and carries
     (tr L, tr R, tr L^-1 R), so Fricke's identity
     tr LR = tr L tr R - tr L^-1 R measures the mediant with one
     multiplication.  Its children's edges carry (tr L, tr LR, tr R), since
@@ -224,14 +224,19 @@ def _slope_lengths(surface, limit: float):
     A trace above 2 cosh(limit / 2), with room for the arccosh's
     rounding, is over the limit with no length taken.  Every other trace
     goes through ``checked_length``, which raises on a parabolic or
-    elliptic one.
+    elliptic one.  Keeping more than ``mcg.DEFAULT_BALL_CAP`` slopes
+    raises ``ResourceLimitError``: once 2 cosh(limit / 2) overflows, the
+    trace bound is ``inf`` and nothing else would end the walk.  The walk
+    is breadth-first, so that cap is reached at depth about 20: depth
+    first would follow one branch, whose traces grow exponentially, and
+    run out of memory on their digits long before.
 
     The slopes measured, reported as ``slopes_measured``, are the two
     roots and every slope popped: 4 + 2 (k - k0) for k kept slopes, k0
     of them roots (4,404 at L = 90 on the modular torus).
     """
     tr_a, tr_b, tr_ab = _check_slope_oracle(surface, limit)
-    bound = _trace_bound(limit)
+    bound, cap = _trace_bound(limit), mcg.DEFAULT_BALL_CAP
     checked_length, product = geometry.checked_length, geometry._product
     out = []
     for slope, t in (((1, 0), tr_a), ((0, 1), tr_b)):
@@ -241,16 +246,16 @@ def _slope_lengths(surface, limit: float):
 
     exact = surface.exact
     if exact:
-        stack = [((1, 0), tr_a, (0, 1), tr_b, tr_a * tr_b - tr_ab),
-                 ((1, 0), tr_a, (0, -1), tr_b, tr_ab)]
+        queue = deque([((1, 0), tr_a, (0, 1), tr_b, tr_a * tr_b - tr_ab),
+                       ((1, 0), tr_a, (0, -1), tr_b, tr_ab)])
     else:
         mats = surface._letter_matrices
-        stack = [((1, 0), mats[1], (0, 1), mats[2], None),
-                 ((1, 0), mats[1], (0, -1), mats[-2], None)]
+        queue = deque([((1, 0), mats[1], (0, 1), mats[2], None),
+                       ((1, 0), mats[1], (0, -1), mats[-2], None)])
     measured = 2
-    push = stack.append
-    while stack:
-        left, lv, right, rv, w = stack.pop()
+    push, pop = queue.append, queue.popleft
+    while queue:
+        left, lv, right, rv, w = pop()
         measured += 1
         if exact:
             t = v = lv * rv - w
@@ -264,6 +269,10 @@ def _slope_lengths(surface, limit: float):
             # specialization within a first, cold call
             continue
         out.append((slope, ell))
+        if len(out) > cap:
+            raise ResourceLimitError(
+                f"slope walk exceeded cap of {cap} slopes: kept {len(out)}, "
+                f"longest kept {max(e for _, e in out):.6g}")
         push((left, lv, slope, v, rv))
         push((slope, v, right, rv, lv))
     out.sort(key=itemgetter(1, 0))

@@ -124,7 +124,7 @@ def boundary_projection(eta: RationalSubsetCurrent, surface) -> Multicurve:
 def _length(weighted_traces, surface) -> float:
     """Sum of weight * length over (weight, trace, curve) triples, in
     order; the one length formula, so a multicurve gets one float whether
-    its traces come from its own letters or from a twisted table."""
+    ``length_gc`` or the curve walk measures it."""
     return sum(float(w) * geometry.checked_length(t, surface, c) for w, t, c in weighted_traces)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, reduce
+import sys
+from functools import cached_property
 
 from . import graphs, ribbon, words
 from .errors import (
@@ -68,6 +69,15 @@ class SurfaceStructure(Record):
             mats[i + 1] = (a, b, c, d)
             mats[-(i + 1)] = (d, -b, -c, a)  # inverse, det 1
         return mats
+
+    @cached_property
+    def _byte_matrices(self):
+        """``_letter_matrices`` keyed by the byte of each letter."""
+        return {words._BYTE[l]: m for l, m in self._letter_matrices.items()}
+
+    @cached_property
+    def _letter_blocks(self):
+        return _Blocks(self._byte_matrices)
 
     @cached_property
     def peripheral_roots(self):
@@ -168,40 +178,36 @@ def holonomy_trace(w, s: SurfaceStructure):
             f"letter index {abs(l) - 1} out of range for rank {s.rank}") from None
 
 
-def _twisted_pairs(images, s: SurfaceStructure):
-    """The table of rho o t for generator images ``images`` of t, keyed by
-    the two-byte codes of :func:`_pairs`: the code of the byte letters
-    ``x y`` holds the matrix of rho(t(x y)), and that of ``x`` and a zero
-    byte the matrix of rho(t(x)).
+class _Blocks(dict):
+    """Matrices of blocks of up to four byte letters, keyed by the
+    native-order four-byte code of the block padded with zero bytes; a
+    block's matrix is built the first time it is read, so only the blocks
+    a surface's words hold are ever built."""
 
-    ``_trace(_pairs(w), table)`` is then tr rho(t(w)) for a byte word w,
-    so the trace of an image is read off the letters it is the image of.
-    Integer tables only: a float product associated in another order may
-    move an ulp.
+    def __init__(self, byte_matrices):
+        super().__init__()
+        self.letters = {0: (1, 0, 0, 1), **byte_matrices}
+
+    def __missing__(self, code):
+        m = (1, 0, 0, 1)
+        for x in code.to_bytes(4, sys.byteorder):
+            m = _product(m, self.letters[x])
+        self[code] = m
+        return m
+
+
+def _byte_trace(w: bytes, s: SurfaceStructure):
+    """Trace of the holonomy along the byte word ``w`` (``words._encode``),
+    the one trace of a byte word.
+
+    An exact surface steps four letters at a time through its table of
+    letter blocks; a float surface steps one letter at a time, left to
+    right, as :func:`holonomy_trace` does, since a float product associated
+    in another order may move an ulp.
     """
-    mats = s._letter_matrices
-    single = {}
-    for i, im in enumerate(images):
-        a, b, c, d = reduce(_product, map(mats.__getitem__, im), (1, 0, 0, 1))
-        single[words._BYTE[i + 1]], single[words._BYTE[-(i + 1)]] = (a, b, c, d), (d, -b, -c, a)
-    code = _pairs
-    table = {code(bytes((x,)))[0]: m for x, m in single.items()}
-    for x, m in single.items():
-        for y, n in single.items():
-            table[code(bytes((x, y)))[0]] = _product(m, n)
-    return table
-
-
-def _pairs(w: bytes):
-    """The letters of the byte word ``w`` two at a time, as native-order
-    two-byte codes; an odd last letter is paired with a zero byte."""
-    return memoryview(w + b"\0" if len(w) % 2 else w).cast("H")
-
-
-def _byte_letter_matrices(s: SurfaceStructure):
-    """``s._letter_matrices`` keyed by the byte of each letter, for
-    stepping a byte word one letter at a time."""
-    return {words._BYTE[l]: m for l, m in s._letter_matrices.items()}
+    if s.exact:
+        return _trace(memoryview(w + b"\0" * (-len(w) % 4)).cast("I"), s._letter_blocks)
+    return _trace(w, s._byte_matrices)
 
 
 def _is_parabolic_trace(t, exact: bool) -> bool:

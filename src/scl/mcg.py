@@ -25,10 +25,9 @@ a curve's canonical letters one byte each (``words._encode``), and ``i``
 indexing the seed's distinct weights, so dedup hashes bytes.  Each twist
 maps a curve through its ``words._image_kernel``, which reduces and
 canonicalizes the image with ``bytes`` methods; letter tuples are made
-only for the ``b_key`` of a lifted node.  On an exact surface a new node
-is measured through the twisted representation rho o t of the twist t
-that reached it, along its parent's letters, since tr rho(t(w)) =
-tr (rho o t)(w); a float surface measures the node's own letters.
+only for the ``b_key`` of a lifted node.  A new node is measured from
+its own letters by ``geometry._byte_trace``, as ``length_gc`` measures a
+multicurve.
 """
 
 from __future__ import annotations
@@ -168,16 +167,15 @@ class OrbitBall(Record):
 def _walk(start, start_record, act, record, bound, cap, inverse):
     """Breadth-first walk of an orbit from ``start`` under the twists.
 
-    A node valued at most ``bound`` is explored: ``act(i, x)`` is
-    ``(y, hint)`` with ``y`` its image under twist ``i``, except under the
-    inverse of the twist that reached it, which gives back its parent.
-    ``record(y, hint)`` is the record of a node not seen before, its value
-    first, given the hint ``act`` passed on; ``start_record`` is the
-    start's, measured once by the caller.  Returns ``(records, tree,
-    complete)``: ``records`` maps each seen node to its record, in the
-    order seen; ``tree`` maps it to ``(parent, twist index)``, or ``None``
-    for ``start``; ``complete`` is False when the walk stopped on seeing
-    more than ``cap`` nodes.
+    A node valued at most ``bound`` is explored: ``act(i, x)`` is its
+    image under twist ``i``, taken under every twist except the inverse of
+    the one that reached it, which gives back its parent.  ``record(y)``
+    is the record of a node not seen before, its value first;
+    ``start_record`` is the start's, measured once by the caller.
+    Returns ``(records, tree, complete)``: ``records`` maps each seen node
+    to its record, in the order seen; ``tree`` maps it to ``(parent, twist
+    index)``, or ``None`` for ``start``; ``complete`` is False when the
+    walk stopped on seeing more than ``cap`` nodes.
     """
     records = {start: start_record}
     tree = {start: None}
@@ -188,10 +186,10 @@ def _walk(start, start_record, act, record, bound, cap, inverse):
         for t_idx in range(len(inverse)):
             if t_idx == back:
                 continue
-            y, hint = act(t_idx, x)
+            y = act(t_idx, x)
             if y in records:
                 continue
-            rec = records[y] = record(y, hint)
+            rec = records[y] = record(y)
             tree[y] = (x, t_idx)
             if len(records) > cap:
                 return records, tree, False
@@ -242,7 +240,7 @@ class _Orbit:
         self.seed = seed
         self.seed_key = self.canon((h.key, Fraction(w)) for h, w in term_source)
         value, b_key = self.seed_record = self.evaluate(self.seed_key)
-        if not functional[0] and b_key and value <= margin * L:
+        if not float(functional[0]) and b_key and value <= margin * L:
             raise InputError(
                 f"with alpha = 0 every element of this orbit has value {value} "
                 "<= margin * L, so the ball would be the whole infinite orbit")
@@ -280,10 +278,8 @@ class _Orbit:
     def walk(self, cutoff):
         """The subgroup-level walk of a ball with this cutoff, timed."""
         start = perf_counter()
-        found = _walk(self.seed_key, self.seed_record,
-                      lambda t_idx, key: (self.act(t_idx, key), None),
-                      lambda key, _: self.evaluate(key), self.margin * cutoff,
-                      self.cap, self.inverse)
+        found = _walk(self.seed_key, self.seed_record, self.act, self.evaluate,
+                      self.margin * cutoff, self.cap, self.inverse)
         self.seconds["subgroup_walk_s"] = perf_counter() - start
         return found
 
@@ -409,42 +405,30 @@ class _Orbit:
         components are in the order of their int letters, then ``i``, so a
         node lifts to the ``b_key`` of its multicurve.  Each image comes
         from the twist's ``words._image_kernel``.  B(seed) keeps the seed's
-        value.  On an exact surface a new node's traces are taken through
-        the twisted table of the twist that reached it, along its parent's
-        letters: tr rho(t(w)) = tr (rho o t)(w).  A float surface measures
-        the node's own letters through a per-letter table built only there,
-        so no value moves by an ulp.
+        value; a new node's traces are ``geometry._byte_trace`` of its
+        components' letters.
         """
         start = perf_counter()
-        surface, twists = self.surface, self.twists
+        surface = self.surface
         v0, b0 = self.seed_record
         weights = sorted({w for _, w in b0})
         float_weights = [float(w) for w in weights]
         area = currents.area(self.seed)[0]
-        kernels = [words._image_kernel(t) for t in twists]
-        if surface.exact:
-            tables = [geometry._twisted_pairs(t.images, surface) for t in twists]
-        else:
-            tables, letter_table = None, geometry._byte_letter_matrices(surface)
+        kernels = [words._image_kernel(t) for t in self.twists]
+        trace = geometry._byte_trace
 
         def act(t_idx, node):
             image = kernels[t_idx]
             if len(node) == 1:
                 ((src, i),) = node
-                return ((image(src), i),), (t_idx, (src,))
-            images = sorted(((image(src), i, src) for src, i in node),
-                            key=lambda row: (row[0].translate(words._INT_ORDER), row[1]))
-            return tuple((im, i) for im, i, _ in images), (t_idx, [src for *_, src in images])
+                return ((image(src), i),)
+            return tuple(sorted(((image(src), i) for src, i in node),
+                                key=lambda c: (c[0].translate(words._INT_ORDER), c[1])))
 
-        def record(node, hint):
-            if tables is None:
-                traces = [geometry._trace(letters, letter_table) for letters, _ in node]
-            else:
-                t_idx, sources = hint
-                traces = [geometry._trace(geometry._pairs(src), tables[t_idx]) for src in sources]
+        def record(node):
             length = currents._length(
-                ((float_weights[i], t, words._Spelled(letters))
-                 for (letters, i), t in zip(node, traces)), surface)
+                ((float_weights[i], trace(letters, surface), words._Spelled(letters))
+                 for letters, i in node), surface)
             return (currents.functional_value(self.functional, length, area),)
 
         node0 = tuple((words._encode(letters), weights.index(w)) for letters, w in b0)
@@ -471,9 +455,10 @@ def orbit_ball(seed, functional, L, margin=1.5, *,
     members, values and ``b_key``s, and the same frontier flag.  A cap
     hit raises ``ResourceLimitError`` whose partial ball has cutoff ``L``.
 
-    With alpha = 0 every element of an orbit with nonzero boundary image
-    has the seed's value, so a seed inside ``margin * L`` would explore
-    the whole infinite orbit; that input is rejected up front.
+    With alpha = 0 (as a float: values are weighted by ``float(alpha)``)
+    every element of an orbit with nonzero boundary image has the seed's
+    value, so a seed inside ``margin * L`` would explore the whole
+    infinite orbit; that input is rejected up front.
     """
     orbit = _Orbit(seed, functional, L, margin,
                    surface=surface, twists=twists, cap=cap, mode=mode)

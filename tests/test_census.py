@@ -344,6 +344,18 @@ def test_slopes_measured_counts_the_roots_and_every_slope_popped(torus):
     assert table.meta["slopes_measured"] == 4404
 
 
+def test_slope_walk_stops_past_the_cap(torus, monkeypatch):
+    # 234 slopes are kept at L = 30: a cap of 234 holds them, one of 50 does not.
+    # Past L ~ 1420 the trace bound is inf and only the cap ends the walk
+    monkeypatch.setattr(mcg, "DEFAULT_BALL_CAP", 234)
+    assert census.scc_census(torus, 30.0, [30.0]).rows == ((30.0, 234),)
+    monkeypatch.setattr(mcg, "DEFAULT_BALL_CAP", 50)
+    for run in (census.scc_census, census.mlz_census):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^slope walk exceeded cap of 50 slopes: kept 51, longest kept"):
+            run(torus, 30.0, [30.0])
+
+
 def test_only_slopes_under_the_trace_bound_take_a_length(torus, monkeypatch):
     calls = []
 

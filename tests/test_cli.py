@@ -49,6 +49,10 @@ def test_fold_parse_error(capsys):
     ("orbit-count --seed 1:a --L 5 --functional x,1", 2, "bad functional weights in 'x,1'"),
     ("area --current 1", 2, "bad current term '1'; expected weight:gens"),
     ("area --current ;", 2, "empty current literal"),
+    # 1e-400 is a positive Fraction whose float is 0.0: alpha = 0, refused up front
+    ("--max-ball 2000 orbit-count --seed 1:aa,b --functional 1e-400,0 --L 40 --grid 2", 2,
+     "with alpha = 0 every element of this orbit has value 0.0 <= margin * L, "
+     "so the ball would be the whole infinite orbit"),
 ])
 def test_error_exits(capsys, argv, code, message):
     assert cli.run(argv.split()) == code
@@ -275,17 +279,14 @@ def test_surface_file(tmp_path, capsys):
     assert code == 2
 
     # the dyadic conjugate (by diag(2, 1/2)) takes the float path, exact == False,
-    # and on these small censuses its traces equal the integer ones, so the output does too
-    dyadic = {**config, "peripherals": ["abAB"],
-              "matrices": {"a": [[1, 4], [0.25, 2]], "b": [[1, -4], [-0.25, 2]]}}
-    path.write_text(json.dumps(dyadic))
-    for argv in (("orbit-count", "--seed", "1:aa,b", "--L", "20", "--grid", "4"),
-                 ("scc-count", "--L", "20", "--grid", "4"),
-                 ("boundary", "--gens", "aa,b"),
-                 ("fibers", "--seed", "1:a", "--L", "12")):
-        built_in = run_cli(capsys, "--no-meta", *argv)
-        assert built_in[0] == 0
-        assert run_cli(capsys, "--no-meta", "--surface", str(path), *argv) == built_in
+    # and on these censuses its traces equal the integer ones, so every golden
+    # output does too, except the float trace that ``length --word`` prints
+    dyadic = str(GOLDEN.parent / "dyadic_torus.json")
+    cases = [c for c in json.loads(GOLDEN.read_text()) if "--word" not in c["argv"]]
+    assert len(cases) == 13
+    for case in cases:
+        got = run_cli(capsys, "--surface", dyadic, *case["argv"])
+        assert (case["argv"], *got) == (case["argv"], case["exit"], case["stdout"])
 
     # every malformed shape is an input error, never a traceback or a misreading
     config["peripherals"] = ["abAB"]
@@ -324,6 +325,17 @@ def test_surface_file(tmp_path, capsys):
         code, out = run_cli(capsys, "--no-meta", "--surface", str(path), "orbit-count",
                             "--seed", "1:a", "--L", "4", "--grid", "2")
         assert (bad, code, out) == (bad, 2, "")
+
+
+@pytest.mark.parametrize("command", ["scc-count", "mlz-count"])
+def test_slope_walk_cap_is_a_resource_error(monkeypatch, capsys, command):
+    # the slope walk keeps 234 slopes at L = 30; past the cap it stops
+    monkeypatch.setattr(mcg, "DEFAULT_BALL_CAP", 50)
+    code = cli.run(["--no-meta", command, "--L", "30", "--grid", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert re.fullmatch(r"scl: resource cap: slope walk exceeded cap of 50 slopes: "
+                        r"kept 51, longest kept [0-9.]+\n", captured.err)
 
 
 def test_oracle_refusal_is_a_configuration_error(tmp_path, capsys):

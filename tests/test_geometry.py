@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scl import geometry, words
 from scl.errors import ConfigError, DiscretenessError, InputError, ParabolicError, TrivialWordError
@@ -148,6 +149,53 @@ def test_huge_trace_stays_accurate(torus):
     assert abs(l600 - 2 * l300) <= 1e-9 * l600
     t = geometry.holonomy_trace((1,) * 600, torus)
     assert isinstance(t, int) and t > 2 ** 800
+
+
+def _surface(name, *matrices):
+    """A bare structure with these matrices, for tracing words only."""
+    return geometry.SurfaceStructure(name, 0, 0, matrices, (), ())
+
+
+def _reduced(rank, picks):
+    """The reduced word of this rank spelled by ``picks``: each pick
+    chooses among the letters that do not cancel the one before."""
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    w = []
+    for p in picks:
+        options = [l for l in letters if not w or l != -w[-1]]
+        w.append(options[p % len(options)])
+    return tuple(w)
+
+
+_EXACT = (geometry.modular_torus(), _surface("rank-1", ((2, 1), (1, 1))),
+          _surface("rank-3", ((1, 1), (1, 2)), ((1, -1), (-1, 2)), ((3, 2), (1, 1))))
+# conjugate by diag(3, 1/3): 1/9 in the matrices, so a product associated
+# in another order would move a trace
+_NINEFOLD = _surface("ninefold", ((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2)))
+
+
+@given(st.lists(st.integers(0, 5), max_size=41))
+def test_byte_trace_is_the_holonomy_trace(picks):
+    # words of 0 to 41 letters, so every length mod 4: integers four
+    # letters at a time on exact surfaces, the same float letter by letter
+    for s in _EXACT:
+        w = _reduced(s.rank, picks)
+        got = geometry._byte_trace(words._encode(w), s)
+        assert type(got) is int and got == geometry.holonomy_trace(w, s)
+    w = _reduced(2, picks)
+    got = geometry._byte_trace(words._encode(w), _NINEFOLD)
+    want = geometry.holonomy_trace(w, _NINEFOLD)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+def test_byte_trace_builds_only_the_blocks_it_reads():
+    # rank 26 has 52 ** 4 blocks of four letters; a trace builds its own few
+    wide = _surface("rank-26", *(((1, i), (1, i + 1)) for i in range(1, 27)))
+    w = W("azByZcxYw")
+    code = words._encode(w)
+    assert geometry._byte_trace(code, wide) == geometry.holonomy_trace(w, wide)
+    read = set(memoryview(code + b"\0" * 3).cast("I"))
+    assert len(read) == 3 and set(wide._letter_blocks) == read
 
 
 def test_holonomy_trace_rejects_letters_out_of_range(torus):

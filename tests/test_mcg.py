@@ -290,6 +290,10 @@ def test_orbit_ball_input_guards(torus):
     # no length term and a nonzero boundary image: the orbit is infinite
     with pytest.raises(InputError):
         mcg.orbit_ball(seed_of(torus, "aa", "b"), (0, 1), 10.0, surface=torus)
+    # 1e-400 is a positive Fraction, but values are weighted by its float, 0.0
+    with pytest.raises(InputError, match="^with alpha = 0 every element"):
+        mcg.orbit_ball(seed_of(torus, "aa", "b"), (Fraction("1e-400"), 0), 40.0,
+                       surface=torus, cap=2000)
     # a twist list without inverses would miss every element reached through one
     ta, _, tb, _ = mcg.twist_generators(torus)
     with pytest.raises(InputError, match="'ta'"):
@@ -523,20 +527,6 @@ def test_orbit_ball_stats_record_cap_cache_hits_and_seconds(torus):
         assert stats[walk] > 0.0
 
 
-letters_rank2 = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=40)
-
-
-@given(letters_rank2)
-def test_twisted_trace_is_the_trace_of_the_image(raw):
-    # tr rho(t(w)) = tr (rho o t)(w), as integers, stepping two letters at a time
-    torus = geometry.modular_torus()
-    for t in mcg.twist_generators(torus):
-        table = geometry._twisted_pairs(t.images, torus)
-        got = geometry._trace(geometry._pairs(words._encode(raw)), table)
-        want = geometry.holonomy_trace(words.apply(t, raw), torus)
-        assert type(got) is int and got == want
-
-
 def test_a_walked_curve_is_named_in_ascii_letters(torus):
     # the walk hands its byte words to the length check, which spells one
     # out only when it raises
@@ -568,17 +558,19 @@ def test_float_surface_values_are_the_letterwise_ones(text, spec, L):
 
 
 @pytest.mark.parametrize("text, L", [("1:aa,b", 12.0), ("1:aa,b", 3.0), ("1:a", 12.0)])
-def test_the_seed_is_valued_once(torus, text, L):
+def test_the_seed_is_valued_once(text, L):
     # the lifted ball (L = 12) and the subgroup walk (1:aa,b at L = 3,
-    # below the seed's value) both start from the seed's one record, and an
-    # exact surface steps no curve one letter at a time
+    # below the seed's value) both start from the seed's one record; the
+    # curve walk of the lifted ball measures its nodes on the exact torus
+    # four letters at a time, through the torus's table of letter blocks
+    torus = geometry.modular_torus()  # a new surface, its block table not built yet
     seed = currents.parse_current(text, torus)
-    with mock.patch.object(currents, "evaluate", wraps=currents.evaluate) as evaluate, \
-            mock.patch.object(geometry, "_byte_letter_matrices",
-                              wraps=geometry._byte_letter_matrices) as letter_table:
-        mcg.orbit_ball(seed, (1, 0), L, surface=torus)
+    with mock.patch.object(currents, "evaluate", wraps=currents.evaluate) as evaluate:
+        ball = mcg.orbit_ball(seed, (1, 0), L, surface=torus)
     assert sum(list(c.args[1]) == list(seed.terms) for c in evaluate.call_args_list) == 1
-    assert letter_table.call_count == 0
+    lifted = ball.stats["curve_walk_s"] > 0.0
+    assert lifted == (L == 12.0)
+    assert bool(torus.__dict__.get("_letter_blocks")) == lifted
 
 
 def test_curve_walk_pins_the_aab_ball_at_50(torus):
