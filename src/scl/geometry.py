@@ -80,6 +80,14 @@ class SurfaceStructure(Record):
         return _Blocks(self._byte_matrices)
 
     @cached_property
+    def _cusp_walks(self):
+        """``ribbon.classify_boundary``'s entry ``(root, "cusp", mult)`` per
+        boundary walk, keyed by the walk's letters, for walks found
+        peripheral.  It holds only rotations, orientations and powers of
+        the peripheral roots; geodesic walks are not stored."""
+        return {}
+
+    @cached_property
     def peripheral_roots(self):
         """(primitive root class, multiplicity) per peripheral word."""
         return tuple(words.primitive_root(words.conj_class(p))

@@ -9,6 +9,7 @@ conjugacy invariant.
 
 from __future__ import annotations
 
+import math
 from array import array
 from functools import lru_cache
 from operator import add
@@ -23,6 +24,10 @@ from .errors import (
 )
 
 DEFAULT_INDEX_CAP = 8
+# the most elements one census may hold: orbit ball members, slopes kept by
+# the slope walk (both read it as ``mcg.DEFAULT_BALL_CAP``) and the covers
+# of one low-index enumeration
+DEFAULT_BALL_CAP = 1_000_000
 
 # _LEAVE[b] is the dart slot at which the letter of byte b leaves its vertex
 # (2 * lab, or 2 * lab + 1 for an inverse letter); it arrives at the next
@@ -496,17 +501,33 @@ def bouquet(rank: int) -> CoreGraph:
     return CoreGraph(1, [(0, 0, lab) for lab in range(rank)], rank, basepoint=0)
 
 
+def _hall_count(rank: int, k: int) -> int:
+    """Number of index-k subgroups of the rank-n free group (Hall 1949):
+    a_j = j (j!)^(n-1) - sum over i < j of ((j-i)!)^(n-1) a_i."""
+    powers = [math.factorial(j) ** (rank - 1) for j in range(k + 1)]
+    counts = [0]
+    for j in range(1, k + 1):
+        counts.append(j * powers[j] - sum(powers[j - i] * counts[i] for i in range(1, j)))
+    return counts[k]
+
+
 def subgroups_of_index(rank: int, k: int, cap: int = DEFAULT_INDEX_CAP):
     """All index-k subgroups of the rank-n free group, one per subgroup.
 
     Enumerated as transitive permutation actions on {0..k-1} with marked
     point 0, using first-appearance numbering of points so each subgroup
     appears exactly once.  Returned as complete basepointed cover graphs.
+    An enumeration of more than ``DEFAULT_BALL_CAP`` covers, by Hall's
+    count, is refused before it starts.
     """
     if rank < 1 or k < 1:
         raise InputError("rank and index must be positive")
     if k > cap:
         raise ResourceLimitError(f"index {k} above cap {cap}")
+    count = _hall_count(rank, k)
+    if count > DEFAULT_BALL_CAP:
+        raise ResourceLimitError(f"the rank-{rank} free group has {count} subgroups of index {k}, "
+                                 f"above cap of {DEFAULT_BALL_CAP} covers")
     covers = []
     darts = [None] * (rank * k)  # slot p * rank + gidx holds (p, q, gidx)
     used = [[False] * k for _ in range(rank)]
@@ -518,13 +539,14 @@ def subgroups_of_index(rank: int, k: int, cap: int = DEFAULT_INDEX_CAP):
         p, gidx = divmod(slot, rank)
         if p >= introduced:
             return
+        row = used[gidx]
         for q in range(min(introduced + 1, k)):
-            if used[gidx][q]:
+            if row[q]:
                 continue
             darts[slot] = (p, q, gidx)
-            used[gidx][q] = True
+            row[q] = True
             rec(slot + 1, introduced + 1 if q == introduced else introduced)
-            used[gidx][q] = False
+            row[q] = False
 
     rec(0, 1)
     return covers

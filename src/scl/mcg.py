@@ -40,9 +40,7 @@ from time import perf_counter
 from . import currents, geometry, graphs, words
 from .currents import Multicurve, RationalSubsetCurrent
 from .errors import ConfigError, InputError, InternalConsistencyError, Record, ResourceLimitError
-from .graphs import SubgroupClass
-
-DEFAULT_BALL_CAP = 1_000_000
+from .graphs import DEFAULT_BALL_CAP, SubgroupClass
 
 
 def mapping_class(images, surface, label="") -> words.Automorphism:

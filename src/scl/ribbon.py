@@ -112,11 +112,19 @@ def classify_boundary(g, surface) -> BoundaryReport:
     """Boundary cycles under ``surface.ribbon_order`` with cusp/geodesic
     kinds, Euler characteristic and genus of the thickened surface."""
     raw = boundary_cycles(g, surface.ribbon_order)
+    # every walk of a finite-index cover is a cusp, and a surface's cusp
+    # walks spell few words: each is split and tested on its first sight only
+    cusp_walks = surface._cusp_walks
     entries = []
     for cyc in raw:
-        root, mult = words.primitive_root(words.conj_class(cyc))
-        peripheral, _ = words.is_peripheral(root, mult, surface)
-        entries.append((root, "cusp" if peripheral else "geodesic", mult))
+        entry = cusp_walks.get(cyc)
+        if entry is None:
+            root, mult = words.primitive_root(words.conj_class(cyc))
+            if words.is_peripheral(root, mult, surface)[0]:
+                entry = cusp_walks[cyc] = (root, "cusp", mult)
+            else:
+                entry = (root, "geodesic", mult)
+        entries.append(entry)
     chi = g.vertex_count - len(g.edges)
     b = len(raw)
     two_genus = 2 - b - chi

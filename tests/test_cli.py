@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import scl
-from scl import cli, mcg
+from scl import cli, graphs, mcg
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -336,6 +336,15 @@ def test_slope_walk_cap_is_a_resource_error(monkeypatch, capsys, command):
     assert (code, captured.out) == (4, "")
     assert re.fullmatch(r"scl: resource cap: slope walk exceeded cap of 50 slopes: "
                         r"kept 51, longest kept [0-9.]+\n", captured.err)
+
+
+def test_enumeration_past_the_cap_is_a_resource_error(monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "DEFAULT_BALL_CAP", 100)
+    code = cli.run(["--no-meta", "low-index", "--rank", "2", "--k", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == ("scl: resource cap: the rank-2 free group has 461 subgroups of "
+                            "index 5, above cap of 100 covers\n")
 
 
 def test_oracle_refusal_is_a_configuration_error(tmp_path, capsys):

@@ -389,6 +389,15 @@ def test_subgroups_of_index_cap():
         graphs.subgroups_of_index(0, 1)
 
 
+def test_subgroups_of_index_refuses_more_covers_than_the_cap(monkeypatch):
+    # Hall's count is taken before enumerating: 461 index-5 covers of F2
+    monkeypatch.setattr(graphs, "DEFAULT_BALL_CAP", 100)
+    assert len(graphs.subgroups_of_index(2, 4)) == 71
+    with pytest.raises(ResourceLimitError, match="^the rank-2 free group has 461 subgroups of "
+                                                 "index 5, above cap of 100 covers$"):
+        graphs.subgroups_of_index(2, 5)
+
+
 def _digest(data):
     return hashlib.sha256(data).hexdigest()
 

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import pytest
 
-from scl import graphs, ribbon, words
+from scl import geometry, graphs, ribbon, words
 from scl.errors import InputError
 from conftest import random_subgroup_class
 
 W = words.word_from_str
+DYADIC = Path(__file__).resolve().parent / "data" / "dyadic_torus.json"
 
 
 def cycles_of(gens, torus, pruned=True):
@@ -69,26 +72,96 @@ def test_classify_index_two_cover(torus):
     assert all(power == 1 for _, _, power in rep.cusp_cycles)
 
 
-def test_classify_rank_two(torus):
+def test_classify_rank_two():
+    torus = geometry.modular_torus()
     g = graphs.core(graphs.fold([W("aa"), W("b")], rank=2))
     rep = ribbon.classify_boundary(g, torus)
     assert rep.euler_char == -1 and rep.genus == 1
     ((root, kind, power),) = rep.cycles
     assert kind == "geodesic" and power == 1
     assert root == words.conj_class(W("aaBAAb"))
+    assert torus._cusp_walks == {}  # a geodesic walk is not stored
 
 
-def test_one_root_split_per_boundary_walk(torus, monkeypatch):
+def _is_cusp(split, surface):
+    return words.is_peripheral(*split, surface)[0]
+
+
+def test_one_root_split_per_boundary_walk(monkeypatch):
+    # a geodesic walk is split each time it is classified, a cusp walk once
+    # per surface: on its first sight
+    torus = geometry.modular_torus()
     cases = [graphs.bouquet(2), graphs.core(graphs.fold([W("aa"), W("b")], rank=2)),
              *graphs.subgroups_of_index(2, 4)]
-    torus.peripheral_roots  # split the peripheral words before counting
-    calls = []
+    walks = [w for g in cases for w in ribbon.boundary_cycles(g, torus.ribbon_order)]
+    # this also splits the peripheral words before counting
+    cusp_walks = [w for w in walks if _is_cusp(words.primitive_root(words.conj_class(w)), torus)]
+    geodesic_count = len(walks) - len(cusp_walks)
+    assert geodesic_count == 1 and len(set(cusp_walks)) < len(cusp_walks)
+    splits = []
     split = words.primitive_root
-    monkeypatch.setattr(words, "primitive_root", lambda c: calls.append(c) or split(c))
-    for g in cases:
-        calls.clear()
-        rep = ribbon.classify_boundary(g, torus)
-        assert len(calls) == len(rep.cycles) == len(ribbon.boundary_cycles(g, torus.ribbon_order))
+
+    def counted(c):
+        splits.append(split(c))
+        return splits[-1]
+
+    monkeypatch.setattr(words, "primitive_root", counted)
+    for expected in (geodesic_count + len(set(cusp_walks)), geodesic_count):
+        splits.clear()
+        for g in cases:
+            ribbon.classify_boundary(g, torus)
+        assert len(splits) == expected
+    assert not any(_is_cusp(s, torus) for s in splits)
+
+
+def _reference(g, surface):
+    """Each walk split and tested from scratch, with no table."""
+    out = []
+    for w in ribbon.boundary_cycles(g, surface.ribbon_order):
+        root, mult = words.primitive_root(words.conj_class(w))
+        out.append((root, "cusp" if words.is_peripheral(root, mult, surface)[0] else "geodesic",
+                    mult))
+    return tuple(out)
+
+
+def _rank_one():
+    # unvalidated: the matrix is never read; the walks of the index-k cover
+    # are a^k and A^k, powers of a single-letter cusp
+    return geometry.SurfaceStructure(
+        name="annulus", genus=0, cusps=2, matrices=(((1, 1), (0, 1)),),
+        peripheral_words=(W("a"),), ribbon_order=((0, 1), (0, -1)))
+
+
+def _four_punctured():
+    # unvalidated, as in test_mcg: cusps a, b, c and CBA
+    return geometry.SurfaceStructure(
+        name="four-punctured", genus=0, cusps=4, matrices=(((1, 0), (0, 1)),) * 3,
+        peripheral_words=tuple(map(W, ("a", "b", "c", "CBA"))),
+        ribbon_order=((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)))
+
+
+@pytest.mark.parametrize("make_surface, max_index", [
+    (geometry.modular_torus, 5),
+    (lambda: geometry.surface_from_file(str(DYADIC)), 5),
+    (_rank_one, 4),
+    (_four_punctured, 4),
+], ids=["modular", "dyadic", "rank-1", "four-punctured"])
+def test_cusp_walk_table_keeps_every_classification(rng, make_surface, max_index):
+    surface = make_surface()
+    inputs = [g for k in range(1, max_index + 1) for g in graphs.subgroups_of_index(surface.rank, k)]
+    if surface.rank > 1:
+        inputs += [graphs.from_key(random_subgroup_class(rng, surface).key) for _ in range(300)]
+    cases = [(g, _reference(g, surface)) for g in inputs]
+    for _ in range(2):
+        rng.shuffle(cases)
+        for g, reference in cases:
+            assert ribbon.classify_boundary(g, surface).cycles == reference
+    # the table holds the cusp walks seen, each with its entry, and nothing else
+    assert surface._cusp_walks == {
+        w: entry for g, reference in cases
+        for w, entry in zip(ribbon.boundary_cycles(g, surface.ribbon_order), reference)
+        if entry[1] == "cusp"}
+    assert any(entry[2] > 1 for entry in surface._cusp_walks.values())
 
 
 def test_dart_partition_and_genus(rng, torus):
