@@ -36,46 +36,66 @@ _LEAVE = bytes([0, *range(0, 52, 2), *range(1, 52, 2)]).ljust(256, b"\0")
 _FLIP = bytes(x ^ 1 for x in range(256))
 _ARRIVE = _LEAVE.translate(_FLIP)
 _UNSET = array("i", [-1])
+_IN_SIDE = 1 << 62  # the fold's stamps of in slots come after those of out slots
 
 
 class CoreGraph:
-    """Labeled directed graph over a rank-n alphabet.
+    """Folded labeled directed graph over a rank-n alphabet, kept as its
+    slot table (Sims 1994).
 
-    ``edges`` is a tuple of ``(src, dst, label)`` with labels in ``[0, n)``.
-    Plain immutable data: derived forms (the neighbor table, the canonical
-    key) are computed where they are needed, never cached on the graph.
+    ``table`` is a flat tuple of ``vertex_count * 2 * rank`` ints: slot
+    ``2 * lab`` of vertex u holds the head of u's label-``lab`` edge, slot
+    ``2 * lab + 1`` the tail of the label-``lab`` edge into u, and -1 marks
+    an empty slot.  It is the graph's one stored form: ``edges`` lists it
+    as sorted ``(src, dst, label)`` triples with labels in ``[0, n)``.
     """
 
-    __slots__ = ("vertex_count", "edges", "rank", "basepoint")
+    __slots__ = ("vertex_count", "table", "rank", "basepoint")
 
     def __init__(self, vertex_count, edges, rank, basepoint=None):
-        self.vertex_count = vertex_count
-        self.edges = tuple(edges)
-        self.rank = rank
+        width = 2 * rank
+        table = [-1] * (vertex_count * width)
+        for u, v, lab in edges:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count and 0 <= lab < rank):
+                raise InputError(f"edge {(u, v, lab)} is outside {vertex_count} vertices "
+                                 f"and rank {rank}")
+            out, into = u * width + 2 * lab, v * width + 2 * lab + 1
+            if table[out] >= 0 or table[into] >= 0:
+                raise InputError(f"edge {(u, v, lab)} fills a slot twice: not a folded graph")
+            table[out], table[into] = v, u
+        self.vertex_count, self.table, self.rank = vertex_count, tuple(table), rank
         self.basepoint = basepoint
+
+    @classmethod
+    def _of(cls, vertex_count, table, rank, basepoint=None):
+        """The graph of a finished slot table, for the producers here."""
+        g = object.__new__(cls)
+        g.vertex_count, g.table, g.rank, g.basepoint = vertex_count, table, rank, basepoint
+        return g
+
+    @property
+    def edges(self):
+        """The sorted ``(src, dst, label)`` triples, one per filled out slot."""
+        width = 2 * self.rank
+        return tuple(sorted((i // width, v, i % width >> 1)
+                            for i, v in enumerate(self.table) if v >= 0 and not i & 1))
 
     @property
     def cycle_rank(self):
-        """E - V + 1, the rank of the represented subgroup."""
-        return len(self.edges) - self.vertex_count + 1
+        """E - V + 1, the rank of the represented subgroup: each edge fills
+        two slots."""
+        return (len(self.table) - self.table.count(-1)) // 2 - self.vertex_count + 1
 
     def __repr__(self):
         return (f"CoreGraph(V={self.vertex_count}, E={len(self.edges)}, "
                 f"rank={self.rank}, basepoint={self.basepoint})")
 
 
-def _rows(g: CoreGraph):
-    """The one neighbor table: per vertex a list of 2 * rank slots, slot
-    ``2 * lab`` following its label-``lab`` edge forward and ``2 * lab + 1``
-    backward (-1 where there is none), and the bitmask of those slots."""
-    rows = [[-1] * (2 * g.rank) for _ in range(g.vertex_count)]
-    masks = [0] * g.vertex_count
-    for u, v, lab in g.edges:
-        rows[u][2 * lab] = v
-        rows[v][2 * lab + 1] = u
-        masks[u] |= 1 << 2 * lab
-        masks[v] |= 2 << 2 * lab
-    return rows, masks
+def _edges_by_label(g: CoreGraph):
+    """The edges label by label, sources ascending: the order in which the
+    readers of a ``from_key`` graph walk it."""
+    return [(u, v, lab) for lab in range(g.rank)
+            for u, v in enumerate(g.table[2 * lab::2 * g.rank]) if v >= 0]
 
 
 def _find(parent, x):
@@ -91,7 +111,8 @@ def _fold(vertex_count, edges, rank, basepoint) -> CoreGraph:
 
     Each edge is subdivided into a path spelling its word.  Identification
     of same-label edge pairs is processed through a union-find merge
-    queue, so the cost is near-linear in the total word length.
+    queue on the slot rows of the roots, so the cost is near-linear in the
+    total word length.
     """
     edge_list = []
     nv = vertex_count
@@ -102,54 +123,63 @@ def _fold(vertex_count, edges, rank, basepoint) -> CoreGraph:
             edge_list.append((path[j], path[j + 1], l - 1) if l > 0
                              else (path[j + 1], path[j], -l - 1))
 
+    width = 2 * rank
     parent = list(range(nv))
-    out_m = [dict() for _ in range(nv)]
-    in_m = [dict() for _ in range(nv)]
+    slots = [-1] * (nv * width)
+    # stamp[i]: when slot i was filled, in slots offset past every out
+    # slot.  A merge walks the lost root's slots by stamp, out slots first
+    # and each side in the order the root gained them; that order decides
+    # which roots survive later merges, and so the vertex numbers
+    stamp = [0] * (nv * width)
+    clock = 0
     merges = []
 
     for u, v, lab in edge_list:
         u, v = _find(parent, u), _find(parent, v)
-        if (t := out_m[u].get(lab)) is not None:
+        out, into = u * width + 2 * lab, v * width + 2 * lab + 1
+        if (t := slots[out]) >= 0:
             t = _find(parent, t)
             if t != v:
                 merges.append((t, v))
-        elif (s := in_m[v].get(lab)) is not None:
+        elif (s := slots[into]) >= 0:
             s = _find(parent, s)
             if s != u:
                 merges.append((s, u))
         else:
-            out_m[u][lab] = v
-            in_m[v][lab] = u
+            slots[out], slots[into] = v, u
+            clock += 1
+            stamp[out], stamp[into] = clock, clock + _IN_SIDE
         while merges:
             a, b = merges.pop()
             a, b = _find(parent, a), _find(parent, b)
             if a == b:
                 continue
-            if len(out_m[a]) + len(in_m[a]) < len(out_m[b]) + len(in_m[b]):
+            # the root with more filled slots survives
+            if slots[a * width:a * width + width].count(-1) > \
+                    slots[b * width:b * width + width].count(-1):
                 a, b = b, a
             parent[b] = a
-            for side in (out_m, in_m):
-                kept, gone = side[a], side[b]
-                side[b] = None
-                for lab2, t2 in gone.items():
-                    cur = kept.get(lab2)
-                    if cur is None:
-                        kept[lab2] = t2
-                    else:
-                        cur, t2 = _find(parent, cur), _find(parent, t2)
-                        if cur != t2:
-                            merges.append((cur, t2))
+            for i in sorted(range(b * width, b * width + width), key=stamp.__getitem__):
+                if (t2 := slots[i]) < 0:
+                    continue
+                if (cur := slots[kept := i + (a - b) * width]) < 0:
+                    slots[kept] = t2
+                    clock += 1
+                    stamp[kept] = clock + (_IN_SIDE if i & 1 else 0)
+                else:
+                    cur, t2 = _find(parent, cur), _find(parent, t2)
+                    if cur != t2:
+                        merges.append((cur, t2))
 
-    roots = [v for v in range(nv) if _find(parent, v) == v]
-    number = {r: i for i, r in enumerate(roots)}
-    out = []
-    for r in roots:
-        for lab, t in out_m[r].items():
-            out.append((number[r], number[_find(parent, t)], lab))
-    out.sort()
+    roots = [v for v in range(nv) if parent[v] == v]
+    number = [-1] * nv
+    for i, r in enumerate(roots):
+        number[r] = i
+    table = [number[_find(parent, x)] if x >= 0 else -1
+             for r in roots for x in slots[r * width:r * width + width]]
     if basepoint is not None:
         basepoint = number[_find(parent, basepoint)]
-    return CoreGraph(len(roots), out, rank, basepoint=basepoint)
+    return CoreGraph._of(len(roots), tuple(table), rank, basepoint=basepoint)
 
 
 def fold(generators, rank=None) -> CoreGraph:
@@ -174,108 +204,98 @@ def pushforward(g: CoreGraph, images) -> CoreGraph:
         raise InputError(f"need {g.rank} nontrivial generator images, got {images!r}")
     for w in images:
         words.check_rank(w, g.rank)
-    return _fold(g.vertex_count, [(u, v, images[lab]) for u, v, lab in g.edges],
+    return _fold(g.vertex_count, [(u, v, images[lab]) for u, v, lab in _edges_by_label(g)],
                  g.rank, basepoint=g.basepoint)
 
 
 def core(g: CoreGraph) -> CoreGraph:
     """Basepoint-free core: prune degree-1 spurs until min degree is 2.
 
-    A graph with no spur (every complete cover, every cycle, every core)
-    is returned as it is, with sorted edges and no basepoint; incident
-    lists are built only when there is something to prune.
+    A vertex's degree is the count of its filled slots.  A graph with no
+    spur (every complete cover, every cycle, every core) is returned on
+    its own table with no basepoint; the table is copied only when there
+    is something to prune.
     """
-    nv = g.vertex_count
-    deg = [0] * nv
-    for u, v, _ in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    nv, width, table = g.vertex_count, 2 * g.rank, g.table
+    if nv and -1 not in table:  # complete: every degree is 2 * rank
+        return CoreGraph._of(nv, table, g.rank)
+    deg = [width - table[i:i + width].count(-1) for i in range(0, nv * width, width)]
     if nv and min(deg) > 1:
-        return CoreGraph(nv, sorted(g.edges), g.rank)
-    ne = len(g.edges)
-    incident = [[] for _ in range(nv)]
-    for eid, (u, v, _) in enumerate(g.edges):
-        incident[u].append(eid)
-        incident[v].append(eid)
-    dead_v = [False] * nv
-    dead_e = [False] * ne
+        return CoreGraph._of(nv, table, g.rank)
+    table = list(table)
+    dead = [False] * nv
     stack = [v for v in range(nv) if deg[v] <= 1]
     while stack:
         v = stack.pop()
-        if dead_v[v] or deg[v] > 1:
+        if dead[v] or deg[v] > 1:
             continue
-        dead_v[v] = True
-        for eid in incident[v]:
-            if dead_e[eid]:
-                continue
-            dead_e[eid] = True
-            u, w, _ = g.edges[eid]
-            other = w if u == v else u
-            deg[v] -= 1
-            deg[other] -= 1
-            if not dead_v[other] and deg[other] <= 1:
-                stack.append(other)
-    keep = [v for v in range(nv) if not dead_v[v]]
+        dead[v] = True
+        for i in range(v * width, v * width + width):
+            if (w := table[i]) >= 0:
+                table[i] = table[w * width + (i % width ^ 1)] = -1
+                deg[v] -= 1
+                deg[w] -= 1
+                if not dead[w] and deg[w] <= 1:
+                    stack.append(w)
+    keep = [v for v in range(nv) if not dead[v]]
     if not keep:
         raise TrivialSubgroupError("graph has no cycles; subgroup is trivial")
-    number = {v: i for i, v in enumerate(keep)}
-    edges = sorted(
-        (number[u], number[v], lab)
-        for eid, (u, v, lab) in enumerate(g.edges)
-        if not dead_e[eid]
-    )
-    return CoreGraph(len(keep), edges, g.rank, basepoint=None)
+    number = [-1] * (nv + 1)  # number[-1] stays -1: an empty slot stays empty
+    for i, v in enumerate(keep):
+        number[v] = i
+    return CoreGraph._of(len(keep), tuple([number[w] for v in keep
+                                           for w in table[v * width:v * width + width]]), g.rank)
 
 
 def contains(g: CoreGraph, w) -> bool:
     """Membership: does ``w`` trace a closed path at the basepoint?"""
     w = words.reduce(w)
     words.check_rank(w, g.rank)
-    rows, _ = _rows(g)
+    width = 2 * g.rank
     base = g.basepoint if g.basepoint is not None else 0
     v = base
     for l in w:
-        v = rows[v][2 * l - 2 if l > 0 else -2 * l - 1]
+        v = g.table[v * width + (2 * l - 2 if l > 0 else -2 * l - 1)]
         if v < 0:
             return False
     return v == base
 
 
 def index(g: CoreGraph):
-    """Covering index: vertex count for a complete cover, else None."""
-    per_label = [0] * g.rank
-    for _, _, lab in g.edges:
-        per_label[lab] += 1
-    if all(c == g.vertex_count for c in per_label):
-        return g.vertex_count
-    return None
+    """Covering index: vertex count for a complete cover (no empty slot),
+    else None."""
+    return g.vertex_count if -1 not in g.table else None
 
 
 def canonical_key(g: CoreGraph) -> bytes:
     """Isomorphism-complete key of a connected folded graph.
 
     The least breadth-first encoding over the start vertices of best
-    profile.  A vertex's profile is the set of its dart types (``2 * lab``
-    out, ``2 * lab + 1`` in), kept as a bitmask and ordered by size, then
-    by its sorted types.  From a start, the encoding lists for each
-    discovered vertex its 2 * rank neighbor slots as discovery indices (-1
-    where there is no edge), which reconstructs the graph up to
-    relabeling.
+    profile.  A vertex's profile is the set of its filled slots (``2 *
+    lab`` out, ``2 * lab + 1`` in), ordered by size, then by its sorted
+    slots; a table with no empty slot makes every vertex a start.  From a
+    start, the encoding lists for each discovered vertex its row of 2 *
+    rank slots as discovery indices (-1 where there is no edge), which
+    reconstructs the graph up to relabeling.
 
     The encodings from all starts grow in lockstep, one vertex per step,
     and only the starts whose encoding so far is least survive a step.
     Once one start is left, its encoding is finished without comparing.
     """
-    n, slots = g.vertex_count, 2 * g.rank
-    rows, masks = _rows(g)
-    best = max(set(masks), key=lambda m: (
-        m.bit_count(), [t for t in range(slots) if m >> t & 1]))
+    n, width, table = g.vertex_count, 2 * g.rank, g.table
+    rows = [table[i:i + width] for i in range(0, n * width, width)]
+    starts = range(n)
+    if -1 in table:
+        # fewest empty slots, then the least filled pattern: for sets of
+        # one size, that is the greatest list of sorted slots
+        profiles = [(row.count(-1), [w >= 0 for w in row]) for row in rows]
+        best = min(profiles)
+        starts = [s for s, p in enumerate(profiles) if p == best]
     runs = []
-    for s, m in enumerate(masks):
-        if m == best:
-            order = [-1] * n
-            order[s] = 0
-            runs.append((order, [s]))
+    for s in starts:
+        order = [-1] * n
+        order[s] = 0
+        runs.append((order, [s]))
     enc = []
     step = 0
     while len(runs) > 1 and step < n:
@@ -378,13 +398,9 @@ def cycle_key(word: bytes, rank) -> bytes:
 
 def from_key(key: bytes) -> CoreGraph:
     """The one reader of ``canonical_key``: vertices in discovery order, no
-    basepoint.  Label ``lab``'s edges are column ``2 * lab`` of the
-    2 * rank entries listed per vertex."""
+    basepoint.  The key's body is the graph's slot table."""
     rank, vertex_count, body = key.split(b";", 2)
-    rank, enc = int(rank), array("i", body)
-    edges = [(u, v, lab) for lab in range(rank)
-             for u, v in enumerate(enc[2 * lab::2 * rank]) if v >= 0]
-    return CoreGraph(int(vertex_count), edges, rank)
+    return CoreGraph._of(int(vertex_count), tuple(array("i", body)), int(rank))
 
 
 def _spanning_tree(g: CoreGraph):
@@ -395,12 +411,12 @@ def _spanning_tree(g: CoreGraph):
     ``(src, dst, label)`` triples, which name an edge of a folded graph.
     """
     base = g.basepoint if g.basepoint is not None else 0
-    rows, _ = _rows(g)
+    width = 2 * g.rank
     parent = {base: None}
     order = [base]
     tree = set()
     for v in order:
-        for t, w in enumerate(rows[v]):
+        for t, w in enumerate(g.table[v * width:v * width + width]):
             if w >= 0 and w not in parent:
                 lab = t >> 1
                 parent[w] = (v, -(lab + 1) if t & 1 else lab + 1)
@@ -423,7 +439,7 @@ def spanning_generators(g: CoreGraph):
         return rev
 
     gens = []
-    for u, v, lab in g.edges:
+    for u, v, lab in _edges_by_label(g):
         if (u, v, lab) in tree:
             continue
         gens.append(words.concat(path_to(u), (lab + 1,), words.inverse(path_to(v))))
@@ -498,7 +514,7 @@ def check_not_peripheral(root: words.ConjClass, mult: int, surface) -> None:
 
 def bouquet(rank: int) -> CoreGraph:
     """The whole group: one vertex, one loop per generator."""
-    return CoreGraph(1, [(0, 0, lab) for lab in range(rank)], rank, basepoint=0)
+    return CoreGraph._of(1, (0,) * (2 * rank), rank, basepoint=0)
 
 
 def _hall_count(rank: int, k: int) -> int:
@@ -529,24 +545,24 @@ def subgroups_of_index(rank: int, k: int, cap: int = DEFAULT_INDEX_CAP):
         raise ResourceLimitError(f"the rank-{rank} free group has {count} subgroups of index {k}, "
                                  f"above cap of {DEFAULT_BALL_CAP} covers")
     covers = []
-    darts = [None] * (rank * k)  # slot p * rank + gidx holds (p, q, gidx)
-    used = [[False] * k for _ in range(rank)]
+    width = 2 * rank
+    table = [-1] * (k * width)  # step p * rank + gidx fills slot 2 * gidx of p
 
-    def rec(slot, introduced):
-        if slot == rank * k:
-            covers.append(CoreGraph(k, sorted(darts), rank, basepoint=0))
+    def rec(step, introduced):
+        if step == rank * k:
+            covers.append(CoreGraph._of(k, tuple(table), rank, basepoint=0))
             return
-        p, gidx = divmod(slot, rank)
+        p, gidx = divmod(step, rank)
         if p >= introduced:
             return
-        row = used[gidx]
         for q in range(min(introduced + 1, k)):
-            if row[q]:
+            into = q * width + 2 * gidx + 1
+            if table[into] >= 0:
                 continue
-            darts[slot] = (p, q, gidx)
-            row[q] = True
-            rec(slot + 1, introduced + 1 if q == introduced else introduced)
-            row[q] = False
+            table[p * width + 2 * gidx] = q
+            table[into] = p
+            rec(step + 1, introduced + 1 if q == introduced else introduced)
+            table[into] = -1
 
     rec(0, 1)
     return covers
@@ -561,25 +577,23 @@ def finite_index_subgroups(h: SubgroupClass, k: int, cap: int = DEFAULT_INDEX_CA
     """
     g = from_key(h.key)
     _, tree = _spanning_tree(g)
-    non_tree = {e: i for i, e in enumerate(e for e in g.edges if e not in tree)}
+    edges = _edges_by_label(g)
+    non_tree = {e: i for i, e in enumerate(e for e in edges if e not in tree)}
     m = len(non_tree)
     assert m == g.cycle_rank
 
+    n, width = g.vertex_count * k, 2 * g.rank
     covers = []
     for action in subgroups_of_index(m, k, cap=cap):
-        perms = [[None] * k for _ in range(m)]
-        for p, q, lab in action.edges:
-            perms[lab][p] = q
-        edges = []
-        for u, v, lab in g.edges:
-            if (u, v, lab) in tree:
-                for s in range(k):
-                    edges.append((u * k + s, v * k + s, lab))
-            else:
-                perm = perms[non_tree[u, v, lab]]
-                for s in range(k):
-                    edges.append((u * k + s, v * k + perm[s], lab))
-        edges.sort()
-        cover = CoreGraph(g.vertex_count * k, edges, g.rank, basepoint=None)
-        covers.append(SubgroupClass(canonical_key(cover)))
+        table = [-1] * (n * width)
+        for u, v, lab in edges:
+            # sheet s of u reaches sheet s of v along a tree edge, and
+            # sheet perm[s] along the non-tree edge that perm acts on
+            i = non_tree.get((u, v, lab))
+            perm = range(k) if i is None else action.table[2 * i::2 * m]
+            for s in range(k):
+                src, dst = u * k + s, v * k + perm[s]
+                table[src * width + 2 * lab] = dst
+                table[dst * width + 2 * lab + 1] = src
+        covers.append(SubgroupClass(canonical_key(CoreGraph._of(n, tuple(table), g.rank))))
     return covers

@@ -6,8 +6,9 @@ Thickening along that order turns the graph into a compact surface whose
 boundary cycles are the orbits of the successor map traced here.
 
 Dart types are ``(label, +1)`` for an outgoing edge and ``(label, -1)``
-for an incoming one; a dart is ``(edge_id, direction)`` where direction
-``+1`` traverses src -> dst.
+for an incoming one, the slots ``2 * label`` and ``2 * label + 1`` of the
+graph's table.  A dart is a pair (vertex, slot t), kept as its table index:
+it leaves the vertex along the edge in slot t.
 """
 
 from __future__ import annotations
@@ -49,43 +50,41 @@ def boundary_cycles(g, sigma):
     reversal in the cyclic order induced at v.  Every dart lies on exactly
     one cycle, so the total cycle length is 2E.
 
-    Darts are numbered 2*eid (+label traversal) and 2*eid+1 (inverse);
-    with succ[d] the next outgoing dart at the tail of d, the walk steps
-    by dart -> succ[dart ^ 1].
+    A dart (v, t) reads the letter of slot t and arrives at its head
+    through slot t ^ 1; its successor leaves the head through the first
+    slot after t ^ 1 in the cyclic order that is filled there.  Walks
+    start label by label, at each edge's out dart and then its in dart.
     """
     problems = check_order(sigma, g.rank)
     if problems:
         raise InputError("; ".join(problems))
-    edges = g.edges
-    ne2 = 2 * len(edges)
-    pos = [0] * (2 * g.rank)
-    for i, (lab, d) in enumerate(sigma):
-        pos[2 * lab + (0 if d > 0 else 1)] = i
+    table, width = g.table, 2 * g.rank
+    cyclic = [2 * lab + (d < 0) for lab, d in sigma]
+    # leave[t]: the slots after t ^ 1 in the cyclic order, ending with t ^ 1
+    leave = [None] * width
+    for i, t in enumerate(cyclic):
+        leave[t ^ 1] = cyclic[i + 1:] + cyclic[:i + 1]
+    letter = [-(t // 2 + 1) if t & 1 else t // 2 + 1 for t in range(width)]
 
-    outgoing = [[] for _ in range(g.vertex_count)]
-    for eid, (u, v, lab) in enumerate(edges):
-        outgoing[u].append((pos[2 * lab], 2 * eid))
-        outgoing[v].append((pos[2 * lab + 1], 2 * eid + 1))
-    succ = [0] * ne2
-    for lst in outgoing:
-        lst.sort()
-        k = len(lst)
-        for i in range(k):
-            succ[lst[i][1]] = lst[(i + 1) % k][1]
-
-    seen = bytearray(ne2)
+    seen = bytearray(len(table))
     cycles = []
-    for d0 in range(ne2):
-        if seen[d0]:
-            continue
-        cycle = []
-        d = d0
-        while not seen[d]:
-            seen[d] = 1
-            lab = edges[d >> 1][2]
-            cycle.append(-(lab + 1) if d & 1 else lab + 1)
-            d = succ[d ^ 1]
-        cycles.append(tuple(cycle))
+    for lab in range(g.rank):
+        for u, v in enumerate(table[2 * lab::width]):
+            if v < 0:
+                continue
+            for d in (u * width + 2 * lab, v * width + 2 * lab + 1):
+                cycle = []
+                while not seen[d]:
+                    seen[d] = 1
+                    t = d % width
+                    cycle.append(letter[t])
+                    head = table[d] * width
+                    for s in leave[t]:
+                        if table[head + s] >= 0:
+                            break
+                    d = head + s
+                if cycle:
+                    cycles.append(tuple(cycle))
     return cycles
 
 
@@ -125,7 +124,7 @@ def classify_boundary(g, surface) -> BoundaryReport:
             else:
                 entry = (root, "geodesic", mult)
         entries.append(entry)
-    chi = g.vertex_count - len(g.edges)
+    chi = 1 - g.cycle_rank
     b = len(raw)
     two_genus = 2 - b - chi
     if two_genus < 0 or two_genus % 2:

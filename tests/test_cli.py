@@ -283,7 +283,7 @@ def test_surface_file(tmp_path, capsys):
     # output does too, except the float trace that ``length --word`` prints
     dyadic = str(GOLDEN.parent / "dyadic_torus.json")
     cases = [c for c in json.loads(GOLDEN.read_text()) if "--word" not in c["argv"]]
-    assert len(cases) == 13
+    assert len(cases) == 15
     for case in cases:
         got = run_cli(capsys, "--surface", dyadic, *case["argv"])
         assert (case["argv"], *got) == (case["argv"], case["exit"], case["stdout"])

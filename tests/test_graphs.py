@@ -303,6 +303,33 @@ def test_core_still_prunes_spurs(rng):
     assert pruned > 100
 
 
+def test_edge_list_round_trips_through_the_slot_table(rng):
+    # a graph rebuilt from its edges, in any order, is the same table
+    for _ in range(500):
+        rank = rng.randint(1, 3)
+        gens = [random_reduced_word(rng, rank, 12) for _ in range(rng.randint(1, 4))]
+        g = graphs.fold(gens, rank=rank)
+        for h in (g, graphs.core(g)):
+            edges = list(h.edges)
+            assert edges == sorted(edges) and len(edges) == h.cycle_rank + h.vertex_count - 1
+            rng.shuffle(edges)
+            rebuilt = graphs.CoreGraph(h.vertex_count, edges, h.rank, basepoint=h.basepoint)
+            assert (rebuilt.table, rebuilt.edges) == (h.table, h.edges)
+            assert graphs.canonical_key(rebuilt) == graphs.canonical_key(h)
+
+
+@pytest.mark.parametrize("vertex_count, edges, rank", [
+    (2, [(0, 1, 0), (0, 0, 0)], 1),
+    (2, [(0, 1, 0), (1, 1, 0)], 1),
+    (2, [(0, 2, 0)], 2),
+    (2, [(-1, 0, 0)], 2),
+    (2, [(0, 1, 2)], 2),
+], ids=["out-slot-twice", "in-slot-twice", "vertex-high", "vertex-negative", "label-high"])
+def test_core_graph_refuses_an_edge_list_no_folded_graph_has(vertex_count, edges, rank):
+    with pytest.raises(InputError):
+        graphs.CoreGraph(vertex_count, edges, rank)
+
+
 def test_core_of_a_graph_without_cycles_is_trivial():
     for g in (graphs.CoreGraph(0, [], 2),
               graphs.CoreGraph(1, [], 2, basepoint=0),

@@ -1,10 +1,12 @@
+from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from scl import geometry, graphs, ribbon, words
-from scl.errors import InputError
-from conftest import random_subgroup_class
+from scl.errors import InputError, TrivialSubgroupError
+from conftest import random_reduced_word, random_subgroup_class
 
 W = words.word_from_str
 DYADIC = Path(__file__).resolve().parent / "data" / "dyadic_torus.json"
@@ -162,6 +164,90 @@ def test_cusp_walk_table_keeps_every_classification(rng, make_surface, max_index
         for w, entry in zip(ribbon.boundary_cycles(g, surface.ribbon_order), reference)
         if entry[1] == "cusp"}
     assert any(entry[2] > 1 for entry in surface._cusp_walks.values())
+
+
+def _edge_walk(edges, rank, sigma):
+    """Reference boundary walk on edge ids, sharing no code with the walk
+    on the slot table.
+
+    Darts are numbered 2*eid (+label traversal) and 2*eid+1 (inverse);
+    with succ[d] the next outgoing dart at the tail of d, the walk steps
+    by dart -> succ[dart ^ 1], starting at the darts in edge order.
+    """
+    ne2 = 2 * len(edges)
+    pos = [0] * (2 * rank)
+    for i, (lab, d) in enumerate(sigma):
+        pos[2 * lab + (0 if d > 0 else 1)] = i
+    vertex_count = 1 + max(max(u, v) for u, v, _ in edges)
+    outgoing = [[] for _ in range(vertex_count)]
+    for eid, (u, v, lab) in enumerate(edges):
+        outgoing[u].append((pos[2 * lab], 2 * eid))
+        outgoing[v].append((pos[2 * lab + 1], 2 * eid + 1))
+    succ = [0] * ne2
+    for lst in outgoing:
+        lst.sort()
+        k = len(lst)
+        for i in range(k):
+            succ[lst[i][1]] = lst[(i + 1) % k][1]
+    seen = bytearray(ne2)
+    cycles = []
+    for d0 in range(ne2):
+        if seen[d0]:
+            continue
+        cycle = []
+        d = d0
+        while not seen[d]:
+            seen[d] = 1
+            lab = edges[d >> 1][2]
+            cycle.append(-(lab + 1) if d & 1 else lab + 1)
+            d = succ[d ^ 1]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def _key_edges(key):
+    """A key's edges label by label, sources ascending, read off its bytes."""
+    rank, _, body = key.split(b";", 2)
+    rank, enc = int(rank), array("i", body)
+    return [(u, v, lab) for lab in range(rank)
+            for u, v in enumerate(enc[2 * lab::2 * rank]) if v >= 0]
+
+
+@pytest.mark.parametrize("make_surface, max_index", [
+    (geometry.modular_torus, 5),
+    (lambda: geometry.surface_from_file(str(DYADIC)), 5),
+    (_rank_one, 4),
+    (_four_punctured, 4),
+], ids=["modular", "dyadic", "rank-1", "four-punctured"])
+def test_table_walk_is_the_edge_walk_on_keyed_graphs(rng, make_surface, max_index):
+    # the same cycles, in the same order and rotation, as the edge-id walk
+    # over a key's edges read label by label
+    surface = make_surface()
+    sigma = surface.ribbon_order
+    keys = [graphs.subgroup_class(g).key
+            for k in range(1, max_index + 1) for g in graphs.subgroups_of_index(surface.rank, k)]
+    if surface.rank > 1:
+        keys += [random_subgroup_class(rng, surface).key for _ in range(300)]
+    for key in keys:
+        assert ribbon.boundary_cycles(graphs.from_key(key), sigma) == \
+            _edge_walk(_key_edges(key), surface.rank, sigma)
+
+
+def test_table_walk_is_the_edge_walk_up_to_order(rng, torus):
+    # on folds, cores and enumerated covers, whose readers never relied on
+    # the order of the walks: equal as multisets of conjugacy classes
+    cases = [g for k in range(1, 5) for g in graphs.subgroups_of_index(2, k)]
+    for _ in range(300):
+        gens = [random_reduced_word(rng, 2, 10) for _ in range(rng.randint(1, 3))]
+        try:
+            g = graphs.fold(gens, rank=2)
+            cases += [g, graphs.core(g)]
+        except TrivialSubgroupError:
+            continue
+    for g in cases:
+        want = _edge_walk(g.edges, g.rank, torus.ribbon_order)
+        got = ribbon.boundary_cycles(g, torus.ribbon_order)
+        assert Counter(map(words.conj_class, got)) == Counter(map(words.conj_class, want))
 
 
 def test_dart_partition_and_genus(rng, torus):
