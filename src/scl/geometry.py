@@ -144,7 +144,7 @@ def validate(s: SurfaceStructure) -> list:
     if not problems:
         # the thickened bouquet must close up to this surface: one boundary
         # cycle per cusp, matching the peripheral classes up to inversion
-        cycles = ribbon.boundary_cycles(graphs.bouquet(n), s.ribbon_order)
+        cycles = ribbon.boundary_cycles(graphs.bouquet(n), s.ribbon_order, checked=True)
         got = sorted(words.conj_class(c).letters for c in cycles)
         want = sorted(words.conj_class(p).letters for p in s.peripheral_words)
         if got != want:

@@ -196,14 +196,82 @@ def fold(generators, rank=None) -> CoreGraph:
     return _fold(1, [(0, 0, w) for w in ws], rank, basepoint=0)
 
 
+def _transvection(images):
+    """``(x, y, right)`` when ``images`` fix every generator but label x and
+    send x to x·y (``right``) or to y·x, for a letter y other than x^±1:
+    an elementary Nielsen transvection.  None for any other images."""
+    moved = [lab for lab, w in enumerate(images) if len(w) != 1 or w[0] != lab + 1]
+    if len(moved) != 1:
+        return None
+    x = moved[0]
+    w = images[x]
+    if len(w) == 2:
+        if w[0] == x + 1 and abs(w[1]) != x + 1:
+            return x, w[1], True
+        if w[1] == x + 1 and abs(w[0]) != x + 1:
+            return x, w[0], False
+    return None
+
+
+def _transvect(g: CoreGraph, x, y, right) -> CoreGraph:
+    """The folded image of the folded ``g`` under the transvection
+    ``_transvection`` names, in one pass over its label-x column: see
+    ``pushforward``.  Vertices of ``g`` keep their numbers, and each new
+    middle vertex is appended."""
+    width, nv, src = 2 * g.rank, g.vertex_count, g.table
+    table = list(src)
+    xo = 2 * x
+    # the y step is read from v backwards (x·y) or from u forwards (y·x);
+    # s is the slot it leaves that end through
+    s = 2 * y - 2 if y > 0 else -2 * y - 1
+    if right:
+        s ^= 1
+    # every x-edge is rewritten, so each vertex's slot on the w side of its
+    # x-edge is refilled by the loop or stays empty
+    side = xo + 1 if right else xo
+    table[side:nv * width:width] = [-1] * nv
+    for u, v in enumerate(src[xo::width]):
+        if v < 0:
+            continue
+        end = v if right else u
+        w = src[end * width + s]
+        if w < 0:
+            w = nv
+            nv += 1
+            table += [-1] * width
+            table[end * width + s] = w
+            table[w * width + (s ^ 1)] = end
+        a, b = (u, w) if right else (w, v)
+        table[a * width + xo] = b
+        table[b * width + xo + 1] = a
+    return CoreGraph._of(nv, tuple(table), g.rank, basepoint=g.basepoint)
+
+
 def pushforward(g: CoreGraph, images) -> CoreGraph:
     """Folded image of ``g`` under the endomorphism sending generator
     ``lab`` to the word ``images[lab]``: every label-``lab`` edge becomes a
-    path spelling its image (Stallings 1983), and the basepoint follows."""
+    path spelling its image (Stallings 1983), and the basepoint follows.
+
+    An elementary Nielsen transvection, which fixes every generator but
+    one, x, and sends x to x·y or y·x for a letter y other than x^±1 (each
+    built-in twist of the punctured torus is one), needs no union-find.
+    Each x-edge u -> v becomes u -x-> w -y-> v (or u -y-> w -x-> v) and the
+    y-edges stay, so the middle vertex w is forced: the vertex v reaches
+    by y^-1 (or u by y) when that slot is filled, else a new one.  The map
+    from x-edges to their w is injective, because ``g`` is folded: w
+    determines v (or u) through its y slot, and v (or u) its one x-edge.
+    So no two rewritten edges meet at a slot, the table written in one
+    pass over the label-x column is already folded, and being a folding of
+    the subdivided graph it is the fold's result up to vertex numbering.
+    Every other image (the identity, composites, any other configured
+    mapping class generator) is subdivided and folded by ``_fold``.
+    """
     if len(images) != g.rank or not all(images):
         raise InputError(f"need {g.rank} nontrivial generator images, got {images!r}")
     for w in images:
         words.check_rank(w, g.rank)
+    if shape := _transvection(images):
+        return _transvect(g, *shape)
     return _fold(g.vertex_count, [(u, v, images[lab]) for u, v, lab in _edges_by_label(g)],
                  g.rank, basepoint=g.basepoint)
 

@@ -1,6 +1,9 @@
 """Mapping classes, each a peripheral-preserving ``words.Automorphism``,
 their action on subgroup classes and multicurves, and orbit-ball
-enumeration.
+enumeration.  A twist that is an elementary Nielsen transvection, as
+each built-in one is, acts on a subgroup class by one pass over the slot
+table of its core graph (``graphs.pushforward``); any other mapping
+class subdivides and folds it.
 
 Orbit balls are grown breadth-first under an inverse-closed twist
 generating set, exploring every element whose functional value stays
@@ -97,8 +100,10 @@ def twist_generators(surface):
 
 
 def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> SubgroupClass:
-    """Push a subgroup class through a mapping class: fold the core graph
-    with every edge replaced by the image of its label."""
+    """Push a subgroup class through a mapping class: the image of its core
+    graph under ``graphs.pushforward``, which rewrites the table in one pass
+    for a twist that is an elementary transvection (each built-in twist) and
+    folds the subdivided graph for any other mapping class."""
     image = graphs.pushforward(graphs.from_key(h.key), phi.images)
     return graphs.subgroup_class(image, surface=surface)
 
@@ -170,10 +175,12 @@ def _walk(start, start_record, act, record, bound, cap, inverse):
     the one that reached it, which gives back its parent.  ``record(y)``
     is the record of a node not seen before, its value first;
     ``start_record`` is the start's, measured once by the caller.
-    Returns ``(records, tree, complete)``: ``records`` maps each seen node
+    Returns ``(records, tree, frontier)``: ``records`` maps each seen node
     to its record, in the order seen; ``tree`` maps it to ``(parent, twist
-    index)``, or ``None`` for ``start``; ``complete`` is False when the
-    walk stopped on seeing more than ``cap`` nodes.
+    index)``, or ``None`` for ``start``; ``frontier`` is None for a walk
+    that ran out of nodes to explore, and for one that stopped on seeing
+    more than ``cap`` nodes the length of its queue: the nodes within the
+    bound that it saw, the last one included, and had not begun to explore.
     """
     records = {start: start_record}
     tree = {start: None}
@@ -189,11 +196,11 @@ def _walk(start, start_record, act, record, bound, cap, inverse):
                 continue
             rec = records[y] = record(y)
             tree[y] = (x, t_idx)
-            if len(records) > cap:
-                return records, tree, False
             if rec[0] <= bound:
                 queue.append(y)
-    return records, tree, True
+            if len(records) > cap:
+                return records, tree, len(queue)
+    return records, tree, None
 
 
 class _Orbit:
@@ -295,12 +302,14 @@ class _Orbit:
                 "curves_seen": len({b for _, b in elements.values()}),
                 "fiber_size": sum(b == b0 for _, b in elements.values())}
 
-    def finish(self, elements, complete, stats, cutoff) -> OrbitBall:
+    def finish(self, elements, frontier, stats, cutoff) -> OrbitBall:
         """The ball at cutoff L; raise it as the partial of a cap hit
-        unless its walk, the one with this ``cutoff``, completed.  The
-        error names the elements seen and explored and the largest value
+        unless its walk, the one with this ``cutoff``, completed (its
+        ``frontier`` is None).  The error names the elements seen and
+        explored, the frontier the walk left queued and the largest value
         explored by that walk, of which there is one: a walk can hit the
         cap only once it has explored its start."""
+        complete = frontier is None
         ball = OrbitBall(seed=self.seed, functional=self.functional, cutoff=self.L,
                          margin=self.margin, surface=self.surface, mode=self.mode,
                          elements=elements, frontier_exhausted=complete,
@@ -312,14 +321,15 @@ class _Orbit:
             top = max(v for v, _ in elements.values() if v <= bound)
             raise ResourceLimitError(
                 f"orbit ball exceeded cap of {self.cap} elements: seen {stats['seen']}, "
-                f"explored {stats['explored']}, largest value explored {top:.6g}",
+                f"explored {stats['explored']}, frontier {frontier}, "
+                f"largest value explored {top:.6g}",
                 partial=ball)
         return ball
 
     def subgroup_ball(self) -> OrbitBall:
         """The ball from the subgroup-level walk at cutoff L."""
-        elements, _, complete = self.walk(self.L)
-        return self.finish(elements, complete, self.subgroup_stats(elements, self.L), self.L)
+        elements, _, frontier = self.walk(self.L)
+        return self.finish(elements, frontier, self.subgroup_stats(elements, self.L), self.L)
 
     def lifted_ball(self) -> OrbitBall:
         """The ball grown on the orbit of B(seed), each member's fiber
@@ -331,19 +341,21 @@ class _Orbit:
         the partial holds more than ``cap`` elements.
         """
         v0, b0 = self.seed_record
-        found, _, complete = self.walk(v0)
-        if not complete:
-            return self.finish(found, False, self.subgroup_stats(found, v0), v0)
+        found, _, frontier = self.walk(v0)
+        if frontier is not None:
+            return self.finish(found, frontier, self.subgroup_stats(found, v0), v0)
         fiber0 = [k for k, (_, b) in found.items() if b == b0]
         push = self.push_rule(len(fiber0))
-        curves, tree, complete, weights = self.curve_walk(len(fiber0))
+        curves, tree, frontier, weights = self.curve_walk(len(fiber0))
         start = perf_counter()
-        kept = [mu for mu, (value,) in curves.items() if not complete or value <= self.L]
+        kept = [mu for mu, (value,) in curves.items() if frontier is not None or value <= self.L]
         elements = self.lift(curves, kept, tree, {k: found[k] for k in fiber0}, weights, push)
         self.seconds["lift_s"] = perf_counter() - start
         stats = {**self.counts([v for v, in curves.values()], len(fiber0), self.L),
                  "curves_seen": len(curves), "fiber_size": len(fiber0)}
-        return self.finish(elements, complete, stats, self.L)
+        if frontier is not None:  # in elements, as seen and explored count them
+            frontier *= len(fiber0)
+        return self.finish(elements, frontier, stats, self.L)
 
     def push_rule(self, fiber_size):
         """The lift's rule ``push(fiber, t_idx, node, b_key)``: the fiber over

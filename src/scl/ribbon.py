@@ -43,7 +43,7 @@ def order_from_strings(items) -> tuple:
     return tuple(out)
 
 
-def boundary_cycles(g, sigma):
+def boundary_cycles(g, sigma, *, checked=False):
     """Boundary walks of the thickened graph, as cyclic letter words.
 
     The successor of a dart arriving at v is the next dart type after its
@@ -54,9 +54,11 @@ def boundary_cycles(g, sigma):
     through slot t ^ 1; its successor leaves the head through the first
     slot after t ^ 1 in the cyclic order that is filled there.  Walks
     start label by label, at each edge's out dart and then its in dart.
+
+    ``sigma`` is checked by ``check_order`` unless ``checked`` says it
+    already was, as a validated surface's ``ribbon_order`` is.
     """
-    problems = check_order(sigma, g.rank)
-    if problems:
+    if not checked and (problems := check_order(sigma, g.rank)):
         raise InputError("; ".join(problems))
     table, width = g.table, 2 * g.rank
     cyclic = [2 * lab + (d < 0) for lab, d in sigma]
@@ -110,7 +112,8 @@ class BoundaryReport(Record):
 def classify_boundary(g, surface) -> BoundaryReport:
     """Boundary cycles under ``surface.ribbon_order`` with cusp/geodesic
     kinds, Euler characteristic and genus of the thickened surface."""
-    raw = boundary_cycles(g, surface.ribbon_order)
+    # the surface's validation checked its order once (geometry.validate)
+    raw = boundary_cycles(g, surface.ribbon_order, checked=True)
     # every walk of a finite-index cover is a cusp, and a surface's cusp
     # walks spell few words: each is split and tested on its first sight only
     cusp_walks = surface._cusp_walks

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import scl
-from scl import cli, graphs, mcg
+from scl import cli, currents, graphs, mcg
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -131,7 +131,31 @@ def test_orbit_count_reports_a_cap_hit_on_stderr(capsys):
     assert captured.out.splitlines() == [
         "L,count,frontier_exhausted", "4.0,6,False", "8.0,6,False"]
     assert captured.err == ("scl: resource cap: orbit ball exceeded cap of 5 elements: "
-                            "seen 6, explored 3, largest value explored 1.92485\n")
+                            "seen 6, explored 3, frontier 1, largest value explored 1.92485\n")
+
+
+def test_a_cap_hit_names_the_frontier_the_walk_left(capsys, torus):
+    # an index-6 cover has zero boundary image, so its orbit of 120 classes
+    # is walked on subgroup classes, one twist action per step.  Every class
+    # has the same value, so the walk explores them in the order seen, and
+    # when the 101st is seen it has begun to explore its parent and every
+    # class before it: the rest of the 101 are queued
+    seed = "1:a,baB,Baaab,BAbaBab,bbb,BabAb,BAbbab"
+    code = cli.run(["--no-meta", "--max-ball", "100", "orbit-count", "--seed", seed,
+                    "--functional", "la", "--L", "40", "--grid", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out.splitlines()[-1] == "40.0,101,False"
+    orbit = mcg._Orbit(currents.parse_current(seed, torus), (1, 1), 40.0, 1.5,
+                       surface=torus, twists=None, cap=None, mode="eta")
+    records, tree, frontier = orbit.walk(40.0)
+    assert (len(records), frontier) == (120, None)
+    seen = list(records)
+    queued = 101 - (seen.index(tree[seen[100]][0]) + 1)
+    assert queued == 41
+    assert captured.err == ("scl: resource cap: orbit ball exceeded cap of 100 elements: "
+                            f"seen 101, explored 101, frontier {queued}, "
+                            "largest value explored 37.6991\n")
 
 
 def test_orbit_count_checks_grid_before_the_ball(capsys, monkeypatch):
@@ -187,7 +211,8 @@ def test_fibers_cap_exit(capsys):
                        "frontier_exhausted": False}
     assert payload["ball_size"] > 0
     assert captured.err == ("scl: resource cap: orbit ball exceeded cap of 50 elements: "
-                            "seen 52, explored 52, largest value explored 13.8433\n")
+                            "seen 52, explored 52, frontier 26, "
+                            "largest value explored 13.8433\n")
 
 
 def test_low_index(capsys):
@@ -283,7 +308,7 @@ def test_surface_file(tmp_path, capsys):
     # output does too, except the float trace that ``length --word`` prints
     dyadic = str(GOLDEN.parent / "dyadic_torus.json")
     cases = [c for c in json.loads(GOLDEN.read_text()) if "--word" not in c["argv"]]
-    assert len(cases) == 15
+    assert len(cases) == 16
     for case in cases:
         got = run_cli(capsys, "--surface", dyadic, *case["argv"])
         assert (case["argv"], *got) == (case["argv"], case["exit"], case["stdout"])

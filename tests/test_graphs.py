@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from scl import graphs, words
+from scl import graphs, mcg, words
 from scl.errors import InputError, ResourceLimitError, TrivialSubgroupError
 from conftest import (
     hall_count,
@@ -374,6 +374,81 @@ def test_pushforward_is_the_image_subgroup(rng, torus):
         reference = graphs.fold([words.apply(phi, w) for w in gens], rank=2)
         assert all(graphs.contains(image, words.apply(phi, w)) for w in gens)
         assert all(graphs.contains(reference, w) for w in graphs.spanning_generators(image))
+
+
+def _transvections(rank):
+    """Every elementary Nielsen transvection of the rank-n free group: one
+    label x sent to x·y or y·x, for each letter y other than x^±1."""
+    out = []
+    for x in range(rank):
+        for y in (s * (lab + 1) for lab in range(rank) if lab != x for s in (1, -1)):
+            for moved in ((x + 1, y), (y, x + 1)):
+                images = [(lab + 1,) for lab in range(rank)]
+                images[x] = moved
+                out.append(tuple(images))
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_transvection_rewrite_is_the_fold(rng, torus, monkeypatch, rank):
+    # the one-pass rewrite against the subdivide-and-fold it replaces: the
+    # same class, the image subgroup at the same basepoint, and a folded table
+    transvections = _transvections(rank)
+    assert len(transvections) == len(set(transvections)) == 4 * rank * (rank - 1)
+    if rank == 2:
+        assert {t.images for t in mcg.twist_generators(torus)} <= set(transvections)
+    cases = []  # (graph, generators of its subgroup at its basepoint)
+    for i in range(60):
+        gens = [random_reduced_word(rng, rank, 8) for _ in range(rng.randint(1, 3))]
+        if i % 2:  # conjugated, for a basepoint on a spur
+            u = random_reduced_word(rng, rank, 3)
+            gens = [words.concat(u, w, words.inverse(u)) for w in gens]
+        g = graphs.fold(gens, rank=rank)
+        c = graphs.from_key(graphs.canonical_key(graphs.core(g)))
+        cases += [(g, gens), (c, graphs.spanning_generators(c))]
+    spurs = [g for g, _ in cases if graphs.core(g).vertex_count < g.vertex_count]
+    assert len(spurs) > 10
+    covers = [g for k in (1, 2, 3) for g in graphs.subgroups_of_index(rank, k)]
+    index4 = graphs.subgroups_of_index(rank, 4)
+    covers += index4 if rank == 2 else rng.sample(index4, 100)
+    cases += [(g, graphs.spanning_generators(g)) for g in covers]
+
+    fold = graphs._fold
+    monkeypatch.setattr(graphs, "_fold", lambda *a, **kw: pytest.fail("the rewrite folded"))
+    for g, gens in cases:
+        for images in transvections:
+            image = graphs.pushforward(g, images)
+            folded = fold(g.vertex_count, [(u, v, images[lab]) for u, v, lab in g.edges],
+                          rank, g.basepoint)
+            assert graphs.canonical_key(graphs.core(image)) == \
+                graphs.canonical_key(graphs.core(folded))
+            assert image.basepoint == g.basepoint
+            phi = words.Automorphism(images=images)
+            assert all(graphs.contains(image, words.apply(phi, w)) for w in gens)
+            # each edge fills its two slots and no slot twice
+            assert graphs.CoreGraph(image.vertex_count, image.edges, rank).table == image.table
+
+
+def test_only_elementary_transvections_skip_the_fold(monkeypatch):
+    g = graphs.core(graphs.fold([W("aab"), W("bAb")], rank=2))
+    folds = []
+    fold = graphs._fold
+    monkeypatch.setattr(graphs, "_fold", lambda *a, **kw: folds.append(a) or fold(*a, **kw))
+    others = [
+        ((1,), (2,)),            # the identity
+        ((1, 2, 2), (2,)),       # a power of b
+        ((1, 1), (2,)),          # y = x
+        ((1, -2), (2, -1)),      # two moved labels
+        ((-2, 1, 2), (2,)),      # a conjugate
+        ((-1,), (2,)),           # an inversion
+        ((2,), (1,)),            # a swap
+    ]
+    for images in others:
+        assert graphs._transvection(images) is None
+        graphs.pushforward(g, images)
+    assert len(folds) == len(others)
+    assert [graphs._transvection(t) for t in (((1, 2), (2,)), ((1,), (-1, 2)))] == \
+        [(0, 2, True), (1, -1, False)]
 
 
 def test_pushforward_rejects_bad_images():

@@ -232,9 +232,11 @@ def test_orbit_ball_monotone_and_margin_stable(torus):
 def test_orbit_ball_cap_carries_partial(torus):
     # seed <a> (value 1.92) and <aa,b> (value 3.53) with a cap hit inside the
     # walk that finds the seed's fiber, at cutoff the seed's value, and
-    # <aa,b> with one inside the curve walk, at cutoff L
-    for gens, L, cap, in_fiber_walk in ((("a",), 6.0, 4, True), (("aa", "b"), 30.0, 3, True),
-                                        (("aa", "b"), 30.0, 40, False)):
+    # <aa,b> with one inside the curve walk, at cutoff L, whose frontier of
+    # 10 curves is 20 elements, two over each
+    for gens, L, cap, in_fiber_walk, frontier in (
+            (("a",), 6.0, 4, True, 1), (("aa", "b"), 30.0, 3, True, 3),
+            (("aa", "b"), 30.0, 40, False, 20)):
         seed = seed_of(torus, *gens)
         with pytest.raises(ResourceLimitError) as info:
             mcg.orbit_ball(seed, (1, 0), L, surface=torus, cap=cap)
@@ -245,14 +247,16 @@ def test_orbit_ball_cap_carries_partial(torus):
         assert len(partial.elements) > cap
         assert partial.stats["seen"] == len(partial.elements)
         # the message is read off the partial: seen, explored, largest
-        # explored, each against the bound of the walk that hit the cap
+        # explored, each against the bound of the walk that hit the cap, and
+        # names the frontier that walk left
         cutoff = currents.evaluate((1, 0), seed.terms, torus)[0] if in_fiber_walk else L
         explored = [v for v, _ in partial.elements.values() if v <= partial.margin * cutoff]
         assert partial.stats["explored"] == len(explored)
         top = max(explored)
         assert str(info.value) == (
             f"orbit ball exceeded cap of {cap} elements: seen {partial.stats['seen']}, "
-            f"explored {partial.stats['explored']}, largest value explored {top:.6g}")
+            f"explored {partial.stats['explored']}, frontier {frontier}, "
+            f"largest value explored {top:.6g}")
 
 
 def test_a_cap_hit_in_the_fiber_walk_counts_against_that_walks_bound(torus):
@@ -262,8 +266,25 @@ def test_a_cap_hit_in_the_fiber_walk_counts_against_that_walks_bound(torus):
     with pytest.raises(ResourceLimitError) as info:
         mcg.orbit_ball(seed, (1, 0), 30.0, surface=torus, cap=10)
     assert str(info.value) == ("orbit ball exceeded cap of 10 elements: seen 11, "
-                               "explored 9, largest value explored 6.71852")
+                               "explored 9, frontier 5, largest value explored 6.71852")
     assert info.value.partial.stats["explored"] == 9
+
+
+def test_a_capped_walk_returns_its_queue():
+    # the integers under x + 1 and x - 1, each the other's inverse, valued
+    # |x|: 0 yields 1 and -1, 1 yields 2, -1 yields -2, and 2 yields 3, the
+    # sixth node seen, which stops the walk with [-2, 3] queued
+    def walk(bound, cap):
+        return mcg._walk(0, (0,), lambda i, x: x + 1 - 2 * i, lambda y: (abs(y),),
+                         bound, cap, [1, 0])
+
+    records, tree, frontier = walk(100, 5)
+    assert (list(records), frontier) == ([0, 1, -1, 2, -2, 3], 2)
+    assert tree[3] == (2, 0)
+    # 3 lies outside the bound, so it is seen and not queued
+    assert walk(2, 5)[2] == 1
+    records, _, frontier = walk(2, 100)
+    assert (sorted(records), frontier) == (list(range(-3, 4)), None)
 
 
 def test_orbit_ball_rejects_a_cap_below_one(torus):

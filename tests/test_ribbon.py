@@ -45,6 +45,27 @@ def test_order_validation(torus):
         ribbon.boundary_cycles(graphs.bouquet(2), bad)
 
 
+def test_a_surface_order_is_not_rechecked_per_walk(torus, monkeypatch):
+    # the surface's validation checked its order; a bare call checks its own
+    calls = []
+    check = ribbon.check_order
+
+    def counted(sigma, rank):
+        calls.append(sigma)
+        return check(sigma, rank)
+
+    monkeypatch.setattr(ribbon, "check_order", counted)
+    for g in (graphs.bouquet(2), *graphs.subgroups_of_index(2, 3)):
+        ribbon.classify_boundary(g, torus)
+    assert calls == []
+    ribbon.boundary_cycles(graphs.bouquet(2), torus.ribbon_order)
+    assert calls == [torus.ribbon_order]
+    for bad in (torus.ribbon_order[:3], (*torus.ribbon_order, (2, 1))):
+        with pytest.raises(InputError):
+            ribbon.boundary_cycles(graphs.bouquet(2), bad)
+    assert len(calls) == 3
+
+
 def test_order_validation_names_repeated_and_foreign_darts(torus):
     assert ribbon.check_order(((0, 1), *torus.ribbon_order), 2) == [
         "ribbon order repeats a dart type"]
