@@ -88,6 +88,15 @@ class SurfaceStructure(Record):
         return {}
 
     @cached_property
+    def _oriented_cusps(self):
+        """Each cusp's oriented class, as the least rotation of the byte
+        word of a boundary walk of the thickened bouquet, whose ribbon
+        order fixes the orientation (``mcg.mapping_class``)."""
+        walks = ribbon.boundary_cycles(graphs.bouquet(self.rank), self.ribbon_order)
+        return frozenset(words._least_rotation_bytes(w, min(w))
+                         for w in map(words._encode, walks))
+
+    @cached_property
     def peripheral_roots(self):
         """(primitive root class, multiplicity) per peripheral word."""
         return tuple(words.primitive_root(words.conj_class(p))

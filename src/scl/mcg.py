@@ -24,13 +24,17 @@ in one pass over the byte word of mu^m, with no twist action and no
 graph.
 
 The curve walk keeps its nodes as tuples of ``(bytes, i)`` components:
-a curve's canonical letters one byte each (``words._encode``), and ``i``
-indexing the seed's distinct weights, so dedup hashes bytes.  Each twist
-maps a curve through its ``words._image_kernel``, which reduces and
-canonicalizes the image with ``bytes`` methods; letter tuples are made
-only for the ``b_key`` of a lifted node.  A new node is measured from
-its own letters by ``geometry._byte_trace``, as ``length_gc`` measures a
-multicurve.
+a curve's letters one byte each (``words._encode``), and ``i`` indexing
+the seed's distinct weights, so dedup hashes bytes.  Each twist maps a
+curve through its ``words._image_kernel``, which reduces the image with
+``bytes`` methods and leaves it cyclically reduced, in no fixed rotation.
+An intern table gives each class one word: an image is that word when it
+is a rotation of it or of its inverse, a test made at C speed.  A new
+node is measured from its own letters by ``geometry._byte_trace``, as
+``length_gc`` measures a multicurve.  Canonical letters
+(``words._canonical``) are made only where they are read: for the
+``b_key`` of a lifted node, and, where a float trace or the order of a
+sum depends on them, for a new class before it is measured.
 """
 
 from __future__ import annotations
@@ -46,12 +50,26 @@ from .errors import ConfigError, InputError, InternalConsistencyError, Record, R
 from .graphs import DEFAULT_BALL_CAP, SubgroupClass
 
 
+# maps the byte of each letter to the byte of its generator
+_UNSIGNED = bytes(b - 26 if b > 26 else b for b in range(53)).ljust(256, b"\0")
+
+
+def _class_hash(w: bytes, rank) -> int:
+    """The curve walk's intern key of a cyclically reduced byte word: its
+    length and how often each generator occurs in it with either sign.
+    Rotation and inversion keep both, so conjugate words share a key."""
+    unsigned = w.translate(_UNSIGNED)
+    return hash((len(w), *map(unsigned.count, range(1, rank + 1))))
+
+
 def mapping_class(images, surface, label="") -> words.Automorphism:
     """Validate generator images as a peripheral-preserving automorphism.
 
     Folding the images must give back the full bouquet (surjectivity; for
     a free group of finite rank that already forces bijectivity), and each
-    peripheral class must map to a peripheral class.
+    cusp's oriented class must map to a cusp's oriented class, not to its
+    inverse: an automorphism that reverses the orientation of the surface
+    is not a mapping class here (Dehn-Nielsen-Baer).
     """
     images = tuple(words.reduce(im) for im in images)
     if len(images) != surface.rank:
@@ -60,10 +78,10 @@ def mapping_class(images, surface, label="") -> words.Automorphism:
     if graphs.index(folded) != 1:
         raise InputError("images do not generate the whole group; not an automorphism")
     phi = words.Automorphism(images=images, label=label)
-    for p in surface.peripheral_words:
-        img = words.conj_class(words.apply(phi, p))
-        peripheral, power = words.is_peripheral(*words.primitive_root(img), surface)
-        if not peripheral or power != 1:
+    image, cusps = words._image_kernel(phi), surface._oriented_cusps
+    for cusp in cusps:
+        y = image(cusp)
+        if words._least_rotation_bytes(y, min(y)) not in cusps:
             raise InputError("automorphism does not preserve the cusp set")
     return phi
 
@@ -109,9 +127,12 @@ def act_on_subgroup(phi: words.Automorphism, h: SubgroupClass, surface) -> Subgr
 
 
 def act_on_multicurve(phi: words.Automorphism, mc: Multicurve) -> Multicurve:
+    """The image multicurve: each class mapped by ``phi``'s image kernel,
+    which leaves it cyclically reduced, and canonicalized."""
     image = words._image_kernel(phi)
     return Multicurve.from_terms(
-        (words.ConjClass(words._decode(image(words._encode(c.letters)))), w) for c, w in mc.items)
+        (words.ConjClass(words._decode(words._canonical(image(words._encode(c.letters))))), w)
+        for c, w in mc.items)
 
 
 def act_on_current(phi: words.Automorphism, eta: RationalSubsetCurrent,
@@ -138,10 +159,12 @@ class OrbitBall(Record):
     images seen (``curves_seen``), the elements over the seed's boundary
     image (``fiber_size``), the ``act_on_subgroup`` calls made
     (``actions``; for a cyclic seed's lifted ball, those of the walk that
-    finds the seed's fiber only) and the actions read from the cache
-    instead (``act_cache_hits``).  A lifted ball counts ``fiber_size``
-    elements per multicurve, which are the elements the subgroup-level
-    walk would see.
+    finds the seed's fiber only), the actions read from the cache
+    instead (``act_cache_hits``) and the curve walk's exact conjugacy
+    tests that found a class other than the image's (``class_clashes``;
+    0 with no curve walk), so a weak intern key shows.  A lifted ball
+    counts ``fiber_size`` elements per multicurve, which are the elements
+    the subgroup-level walk would see.
     It also records the ``cap`` in force and the ``perf_counter`` seconds
     of the subgroup-level walk (``subgroup_walk_s``; in a lifted ball, the
     walk that finds the seed's fiber), the curve walk (``curve_walk_s``)
@@ -234,7 +257,7 @@ class _Orbit:
                 raise (ConfigError if twists is None else InputError)(
                     f"twist {t.label!r} has no inverse in the twist list")
         self.act_cache = {}  # (twist index, class key) -> image class key
-        self.actions = self.cache_hits = 0
+        self.actions = self.cache_hits = self.clashes = 0
         self.seconds = dict.fromkeys(("subgroup_walk_s", "curve_walk_s", "lift_s"), 0.0)
 
         if isinstance(seed, RationalSubsetCurrent):
@@ -314,7 +337,8 @@ class _Orbit:
                          margin=self.margin, surface=self.surface, mode=self.mode,
                          elements=elements, frontier_exhausted=complete,
                          stats={**stats, "actions": self.actions,
-                                "act_cache_hits": self.cache_hits, "cap": self.cap,
+                                "act_cache_hits": self.cache_hits,
+                                "class_clashes": self.clashes, "cap": self.cap,
                                 **self.seconds})
         if not complete:
             bound = self.margin * cutoff
@@ -365,8 +389,10 @@ class _Orbit:
         In general fiber(t(mu)) = t(fiber(mu)).  For a seed c <r^m> (one
         term of rank 1) every node is one curve mu = t(r), and the one
         element over it is c <mu^m>: the rule keys it with
-        ``graphs.cycle_key`` on mu's canonical byte word repeated m times,
-        in one pass over its letters, with no twist action, fold or graph.
+        ``graphs.cycle_key`` on mu's byte word repeated m times, in one
+        pass over its letters, with no twist action, fold or graph.  That
+        word is the one the curve walk holds for mu's class, some rotation
+        of some orientation of it, and every one gives the same key.
         """
         (cls_key, c), *rest = self.seed_key
         if rest or SubgroupClass(cls_key).rank != 1:
@@ -379,8 +405,9 @@ class _Orbit:
         m, surface = graphs.from_key(cls_key).vertex_count // len(root), self.surface
 
         def push(fiber, t_idx, node, b_key):
-            # canonical, as the m-th powers of a canonical word; mu is the
-            # image of the primitive r, so (mu, m) is already the split
+            # cyclically reduced, as the m-th power of a cyclically reduced
+            # word; mu is the image of the primitive r, so (mu, m) is
+            # already the split
             ((word, _),), ((letters, _),) = node, b_key
             graphs.check_not_peripheral(words.ConjClass(letters), m, surface)
             return [((graphs.cycle_key(word * m, surface.rank), c),)]
@@ -400,7 +427,8 @@ class _Orbit:
                 mu = tree[mu][0]
             for nu in reversed(path):
                 parent, t_idx = tree[nu]
-                b_key = tuple((words._decode(letters), weights[i]) for letters, i in nu)
+                b_key = tuple(sorted((words._decode(words._canonical(letters)), weights[i])
+                                     for letters, i in nu))
                 fibers[nu] = push(fibers[parent], t_idx, nu, b_key)
                 elements.update(dict.fromkeys(fibers[nu], (curves[nu][0], b_key)))
         return elements
@@ -410,29 +438,62 @@ class _Orbit:
         seed's sorted distinct weights.
 
         A node is the tuple of its components ``(letters, i)``, with
-        ``letters`` the curve's canonical byte word (``words._encode``) and
-        ``weights[i]`` the component's weight, so dedup hashes bytes.  Its
-        components are in the order of their int letters, then ``i``, so a
-        node lifts to the ``b_key`` of its multicurve.  Each image comes
-        from the twist's ``words._image_kernel``.  B(seed) keeps the seed's
-        value; a new node's traces are ``geometry._byte_trace`` of its
-        components' letters.
+        ``letters`` the byte word (``words._encode``) that the walk's
+        intern table holds for the curve's class and ``weights[i]`` the
+        component's weight, so dedup hashes bytes.  Each image comes from
+        the twist's ``words._image_kernel``, cyclically reduced, and is
+        replaced by the word of its class: cyclically reduced words are
+        conjugate exactly when one is a rotation of the other, so a word u
+        of the same ``_class_hash`` is the class's when the image or its
+        inverse occurs in u + u.  Each test that finds another class is
+        counted in ``self.clashes``.
+
+        A trace on an exact surface is a class function, and a float sum of
+        two terms does not depend on their order, so a node of one or two
+        curves there is measured from whatever words their classes hold.
+        Otherwise (a float trace depends on letter order, and a sum of
+        three or more lengths on the order of its terms) a new class is
+        canonicalized before it is stored.  A node's components are in the
+        order of their int letters, then ``i``: for canonical words, the
+        order of its ``b_key`` and of the sum ``length_gc`` takes.  B(seed)
+        keeps the seed's value; a new node's traces are
+        ``geometry._byte_trace`` of its components' letters.
         """
         start = perf_counter()
-        surface = self.surface
+        surface, rank = self.surface, self.surface.rank
         v0, b0 = self.seed_record
         weights = sorted({w for _, w in b0})
         float_weights = [float(w) for w in weights]
         area = currents.area(self.seed)[0]
         kernels = [words._image_kernel(t) for t in self.twists]
         trace = geometry._byte_trace
+        invert, class_hash = words._INVERT, _class_hash
+        canonical = not surface.exact or len(b0) > 2
+        table = {}  # class hash -> the word of its class, or a list of words on a clash
+
+        def intern(y):
+            h = class_hash(y, rank)
+            held = table.get(h, ())
+            for u in (held,) if held.__class__ is bytes else held:
+                if len(u) == len(y) and (y in (uu := u + u) or y.translate(invert)[::-1] in uu):
+                    return u
+                self.clashes += 1
+            if canonical:
+                y = words._canonical(y)
+            if not held:
+                table[h] = y
+            elif held.__class__ is bytes:
+                table[h] = [held, y]
+            else:
+                held.append(y)
+            return y
 
         def act(t_idx, node):
             image = kernels[t_idx]
             if len(node) == 1:
                 ((src, i),) = node
-                return ((image(src), i),)
-            return tuple(sorted(((image(src), i) for src, i in node),
+                return ((intern(image(src)), i),)
+            return tuple(sorted(((intern(image(src)), i) for src, i in node),
                                 key=lambda c: (c[0].translate(words._INT_ORDER), c[1])))
 
         def record(node):
@@ -441,7 +502,7 @@ class _Orbit:
                  for letters, i in node), surface)
             return (currents.functional_value(self.functional, length, area),)
 
-        node0 = tuple((words._encode(letters), weights.index(w)) for letters, w in b0)
+        node0 = tuple((intern(words._encode(letters)), weights.index(w)) for letters, w in b0)
         found = _walk(node0, (v0,), act, record, self.margin * self.L,
                       self.cap // fiber_size, self.inverse)
         self.seconds["curve_walk_s"] = perf_counter() - start

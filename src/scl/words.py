@@ -11,10 +11,12 @@ inverse, under the letter order a < b < ... < A < B < ...
 
 That order is the byte order of the byte form of a word, one letter per
 byte (a..z are 1..26, A..Z are 27..52).  :func:`_canonical` is the one
-canonicalizer of cyclic words: it cuts, inverts and rotates a byte word
-with ``bytes`` methods only.  :func:`conj_class` encodes its tuple word
-for it, and the curve walk of :mod:`scl.mcg` holds words as ``bytes``
-and maps them through :func:`_image_kernel`, which ends in it.
+canonicalizer of cyclic words: it cuts (:func:`_cyclic_reduce`), inverts
+and rotates a byte word with ``bytes`` methods only.  :func:`conj_class`
+encodes its tuple word for it.  The curve walk of :mod:`scl.mcg` holds
+words as ``bytes`` and maps them through :func:`_image_kernel`, which
+stops at the cyclically reduced image: the walk tells classes apart by
+rotation, and canonicalizes only the words it reads letters of.
 """
 
 from __future__ import annotations
@@ -206,16 +208,17 @@ def apply(phi: Automorphism, w) -> Word:
 
 def _image_kernel(phi: Automorphism):
     """The function that maps a cyclically reduced nontrivial byte word w
-    to the canonical byte word of the class of ``phi(w)``: the one image
-    kernel of the curve walk and of :func:`scl.mcg.act_on_multicurve`.
+    to the cyclically reduced byte word of ``phi(w)``, some rotation of
+    some orientation of its class: the one image kernel of the curve walk
+    and of :func:`scl.mcg.act_on_multicurve`, which canonicalizes it.
 
     Every step is a ``bytes`` method, so it runs at C speed.  One
     ``translate`` turns each letter whose image is not itself into a
     marker byte above the letters (and a letter beyond the rank into 0),
     and one ``replace`` per marker writes its image.  Deleting every
     cancelling pair, one ``replace`` per pair, until the length stops
-    changing leaves the reduced image, which :func:`_canonical` turns
-    into its class.
+    changing leaves the reduced image, and :func:`_cyclic_reduce` cuts
+    the letters that cancel around the cycle.
     """
     rank = phi.rank
     table = bytearray(256)
@@ -245,8 +248,20 @@ def _image_kernel(phi: Automorphism):
             n = len(w)
             for pair in cancelling:
                 w = w.replace(pair, b"")
-        return _canonical(w)
+        return _cyclic_reduce(w)
     return image
+
+
+def _cyclic_reduce(w: bytes) -> bytes:
+    """The freely reduced byte word ``w`` with the letters that cancel
+    cyclically cut from both ends; the trivial word raises
+    ``TrivialWordError``."""
+    if not w:
+        raise TrivialWordError("trivial word has no conjugacy class")
+    n, d = len(w), 0
+    while n - 2 * d > 1 and w[d] == _INVERT[w[n - 1 - d]]:
+        d += 1
+    return w[d:n - d] if d else w
 
 
 def _canonical(w: bytes) -> bytes:
@@ -258,15 +273,8 @@ def _canonical(w: bytes) -> bytes:
     of the two when they tie; a simple curve on the punctured torus never
     ties.
     """
-    n = len(w)
+    w = _cyclic_reduce(w)
     v = w.translate(_INVERT)[::-1]
-    d = 0
-    while n - 2 * d > 1 and w[d] == v[d]:
-        d += 1
-    if d:
-        w, v = w[d:n - d], v[d:n - d]
-    if not w:
-        raise TrivialWordError("trivial word has no conjugacy class")
     least, inv_least = min(w), min(v)
     if least < inv_least:
         return _least_rotation_bytes(w, least)
@@ -275,7 +283,9 @@ def _canonical(w: bytes) -> bytes:
     return min(_least_rotation_bytes(w, least), _least_rotation_bytes(v, least))
 
 
-_MAX_STARTS = 256  # a curve of the L = 140 lsc ball of 1:aa,b has about 70
+# a curve of the L = 140 lsc ball of 1:aa,b that the ball keeps, the only
+# curves its walk canonicalizes, has 35 on average and at most 79
+_MAX_STARTS = 256
 
 
 def _least_rotation_bytes(w: bytes, least: int) -> bytes:

@@ -308,7 +308,7 @@ def test_surface_file(tmp_path, capsys):
     # output does too, except the float trace that ``length --word`` prints
     dyadic = str(GOLDEN.parent / "dyadic_torus.json")
     cases = [c for c in json.loads(GOLDEN.read_text()) if "--word" not in c["argv"]]
-    assert len(cases) == 16
+    assert len(cases) == 17
     for case in cases:
         got = run_cli(capsys, "--surface", dyadic, *case["argv"])
         assert (case["argv"], *got) == (case["argv"], case["exit"], case["stdout"])
@@ -401,6 +401,25 @@ def test_surface_file_with_a_huge_genus_is_an_input_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "scl: genus/cusps: 2g + r - 1 = 2000000 is outside [1, 26]\n"
     assert "Traceback" not in err
+
+
+def test_surface_file_refuses_an_orientation_reversing_twist(tmp_path, capsys):
+    # the swap a <-> b is its own inverse and sends the cusp class to its
+    # inverse; accepted beside the built-in twists, it doubled the count of
+    # the chiral seed 1:aabAbb at L = 25 from 282 to 564
+    config = json.loads((GOLDEN.parent / "modular_torus.json").read_text())
+    twists = [{"images": ["a", "ab"]}, {"images": ["a", "Ab"]},
+              {"images": ["ab", "b"]}, {"images": ["aB", "b"]}]
+    path = tmp_path / "surface.json"
+    argv = ("--no-meta", "--surface", str(path), "orbit-count",
+            "--seed", "1:aabAbb", "--L", "25", "--grid", "1")
+    path.write_text(json.dumps({**config, "mcg_generators": twists}))
+    assert run_cli(capsys, *argv) == (0, "L,count,frontier_exhausted\n25.0,282,True\n")
+    path.write_text(json.dumps(
+        {**config, "mcg_generators": [*twists, {"images": ["b", "a"], "label": "swap"}]}))
+    code = cli.run(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "scl: automorphism does not preserve the cusp set\n")
 
 
 def test_surface_file_rejects_the_annulus(tmp_path, capsys):

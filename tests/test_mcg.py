@@ -3,6 +3,7 @@ import math
 import time
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -86,6 +87,19 @@ def test_mapping_class_needs_one_image_per_generator_and_keeps_the_cusps(torus):
         ribbon_order=((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)))
     with pytest.raises(InputError, match="^automorphism does not preserve the cusp set$"):
         mcg.mapping_class([W("ab"), W("b"), W("c")], sphere)
+
+
+def test_mapping_class_refuses_orientation_reversing_automorphisms(torus):
+    # the swap a <-> b sends the cusp abAB to baBA, its inverse; so do the
+    # reflections a -> A and b -> B.  Each reverses the surface's orientation
+    for images in (("b", "a"), ("A", "b"), ("a", "B"), ("B", "A")):
+        with pytest.raises(InputError, match="^automorphism does not preserve the cusp set$"):
+            mcg.mapping_class(list(map(W, images)), torus)
+    # a -> A, b -> B is the hyperelliptic involution, which keeps it; so
+    # does each built-in twist, which twist_generators passes through
+    # mapping_class (the CLI tests configure the same four images)
+    assert mcg.mapping_class([W("A"), W("B")], torus).images == (W("A"), W("B"))
+    assert [t.label for t in mcg.twist_generators(torus)] == ["ta", "ta'", "tb", "tb'"]
 
 
 def test_twist_generators_need_config(torus):
@@ -183,6 +197,17 @@ def test_equivariance_and_area_invariance(rng, torus):
         right = mcg.act_on_multicurve(phi, currents.boundary_projection(eta, torus))
         assert left == right
         assert currents.euler_char(acted) == currents.euler_char(eta)
+
+
+def test_act_on_multicurve_returns_canonical_classes(rng, torus):
+    # the image kernel leaves each image cyclically reduced in no fixed
+    # rotation; act_on_multicurve canonicalizes it
+    for _ in range(50):
+        mc = random_multicurve(rng, torus)
+        phi = random_mapping_class(rng, torus, 5)
+        want = currents.Multicurve.from_terms(
+            (words.conj_class(words.apply(phi, c.letters)), w) for c, w in mc.items)
+        assert mcg.act_on_multicurve(phi, mc) == want
 
 
 def test_action_preserves_primitivity(rng, torus):
@@ -647,3 +672,60 @@ def test_orbit_ball_members_are_margin_stable(torus, text, L):
             assert value == least, b_key
             minima += 1
     assert minima == (6 if text == "1:aaBAbb" else 3)
+
+
+DYADIC = geometry.surface_from_file(str(Path(__file__).parent / "data" / "dyadic_torus.json"))
+# conjugated by diag(3, 1/3): a float trace here moves with the letter order
+_TORUS = geometry.modular_torus()
+NINEFOLD = geometry.SurfaceStructure(
+    "ninefold", _TORUS.genus, _TORUS.cusps, (((1, 9), (1 / 9, 2)), ((1, -9), (-1 / 9, 2))),
+    _TORUS.peripheral_words, _TORUS.ribbon_order)
+SURFACES = pytest.mark.parametrize("surface", [_TORUS, DYADIC, NINEFOLD],
+                                   ids=["exact", "dyadic", "ninefold"])
+# one curve, one proper power, two curves and three curves (a + b + ab)
+SEEDS = pytest.mark.parametrize("text, L", [
+    ("1:a", 16.0), ("1:aa,b", 20.0), ("1:aa,b;1/2:a", 20.0), ("1:aaBAbb", 12.0),
+    ("1:a;1:b;1:ab", 12.0)])
+
+
+# the curve walk's intern table holds one word per class; with every key
+# made to clash, each class is told apart by the exact rotation test alone
+@SURFACES
+@SEEDS
+def test_curve_walk_is_the_same_when_every_class_key_clashes(monkeypatch, surface, text, L):
+    seed = currents.parse_current(text, surface)
+    ball = mcg.orbit_ball(seed, (1, 0), L, surface=surface)
+    assert ball.stats["curve_walk_s"] > 0.0
+    monkeypatch.setattr(mcg, "_class_hash", lambda w, rank: 0)
+    clashed = mcg.orbit_ball(seed, (1, 0), L, surface=surface)
+    assert clashed.elements == ball.elements  # keys, values by ==, b_keys
+    assert clashed.members() == ball.members()
+    for name in ("seen", "explored", "members", "curves_seen"):
+        assert clashed.stats[name] == ball.stats[name], name
+    assert clashed.stats["class_clashes"] > ball.stats["class_clashes"]
+    assert clashed.stats["class_clashes"] > 0
+
+
+@pytest.mark.parametrize("clash", [False, True])
+@SURFACES
+@SEEDS
+def test_curve_walk_values_are_length_gc_of_the_canonical_multicurve(
+        monkeypatch, surface, text, L, clash):
+    # every node the walk sees, kept or not: its value is the one that
+    # length_gc gives its canonical multicurve, == on the float surface too
+    if clash:
+        monkeypatch.setattr(mcg, "_class_hash", lambda w, rank: 0)
+    seed = currents.parse_current(text, surface)
+    orbit = mcg._Orbit(seed, (1, 0), L, 1.5, surface=surface, twists=None, cap=None,
+                       mode="eta")
+    curves, _, frontier, weights = orbit.curve_walk(1)
+    assert frontier is None and len(curves) > 1
+    area = currents.area(seed)[0]
+    classes = set()
+    for node, (value,) in curves.items():
+        mc = currents.Multicurve.from_terms(
+            (words.ConjClass(words._decode(words._canonical(letters))), weights[i])
+            for letters, i in node)
+        assert value == currents.functional_value((1, 0), currents.length_gc(mc, surface), area)
+        classes.add(mc)
+    assert len(classes) == len(curves)  # one node per multicurve

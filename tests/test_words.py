@@ -344,9 +344,12 @@ def test_byte_order_is_the_canonical_letter_order(u, v):
 
 
 def _kernel_matches_tuple_path(phi, w):
-    """The byte kernel gives the brute-force class of the tuple image apply(phi, w)."""
-    want = _brute_conj_class(words.apply(phi, w))
-    assert words._decode(words._image_kernel(phi)(words._encode(w))) == want, (phi, w)
+    """The byte kernel gives the tuple image apply(phi, w), cyclically
+    reduced, and that canonicalizes to its brute-force class."""
+    image = words.apply(phi, w)
+    got = words._image_kernel(phi)(words._encode(w))
+    assert words._decode(got) == _cyclically_reduced(image), (phi, w)
+    assert words._decode(words._canonical(got)) == _brute_conj_class(image), (phi, w)
 
 
 def _nielsen_automorphism(rng, rank, moves):
