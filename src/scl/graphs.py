@@ -548,14 +548,63 @@ class SubgroupClass(Record):
         return 1 - self.euler_char
 
 
+# subgroup_class's memo: bytes(table) of each cover keyed so far, and of its
+# re-rootings, to the class they share
+_COVER_CLASSES = {}
+
+
+def _rerootings(g: CoreGraph):
+    """``bytes`` of the complete cover ``g`` re-rooted at each vertex s, in
+    order of s.
+
+    From s the vertices are numbered by first appearance along out-slots,
+    vertex by vertex and label by label: the numbering ``subgroups_of_index``
+    lists its covers in, so the first item is ``g``'s own table when ``g``
+    is one of them.  The cover re-rooted at s is that of the subgroup's
+    conjugate by a word from the basepoint to s, and every conjugate is one
+    of these (Sims 1994, ch. 5).
+    """
+    n, width = g.vertex_count, 2 * g.rank
+    table = bytes(g.table)
+    rows = [table[i:i + width] for i in range(0, n * width, width)]
+    tables = []
+    for s in range(n):
+        number = [-1] * n
+        number[s] = 0
+        verts = [s]
+        for v in verts:  # grows as it is read: a breadth-first queue
+            for w in rows[v][::2]:
+                if number[w] < 0:
+                    number[w] = len(verts)
+                    verts.append(w)
+        tables.append(b"".join(map(rows.__getitem__, verts)).translate(bytes(number).ljust(256)))
+    return tables
+
+
 def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
     """Build a SubgroupClass from generator words or a folded graph.
 
     With a surface given, rejects cyclic subgroups whose root is
     peripheral (their limit set is a single point).
+
+    A graph of rank >= 2 with no empty slot and fewer than 256 vertices
+    (every cover ``subgroups_of_index`` returns) is a finite-index subgroup,
+    never cyclic, and its conjugates are its re-rootings: it is keyed once
+    per class.  The memo maps ``bytes(g.table)`` to the class (a complete
+    table's largest entry is its vertex count less one, and its length then
+    fixes the rank); a miss keys ``core(g)`` and files the class under the
+    table of every re-rooting (``_rerootings``), so each conjugate gets the
+    same object.  It lives as long as the process and holds one entry per
+    cover keyed.  Every other source takes the path below.
     """
     if isinstance(source, CoreGraph):
         g = source
+        if g.rank > 1 and g.vertex_count < 256 and -1 not in g.table:
+            h = _COVER_CLASSES.get(bytes(g.table))
+            if h is None:
+                h = SubgroupClass(canonical_key(core(g)))
+                _COVER_CLASSES.update(dict.fromkeys(_rerootings(g), h))
+            return h
     else:
         if rank is None and surface is not None:
             rank = surface.rank

@@ -305,13 +305,15 @@ def test_surface_file(tmp_path, capsys):
 
     # the dyadic conjugate (by diag(2, 1/2)) takes the float path, exact == False,
     # and on these censuses its traces equal the integer ones, so every golden
-    # output does too, except the float trace that ``length --word`` prints
-    dyadic = str(GOLDEN.parent / "dyadic_torus.json")
+    # output does too, except the float trace that ``length --word`` prints.
+    # The ninefold conjugate (by diag(3, 1/3)) has 1/9 in its matrices, so its
+    # float products move with the letter order; its golden outputs match too
     cases = [c for c in json.loads(GOLDEN.read_text()) if "--word" not in c["argv"]]
     assert len(cases) == 17
-    for case in cases:
-        got = run_cli(capsys, "--surface", dyadic, *case["argv"])
-        assert (case["argv"], *got) == (case["argv"], case["exit"], case["stdout"])
+    for name in ("dyadic_torus.json", "ninefold_torus.json"):
+        for case in cases:
+            got = run_cli(capsys, "--surface", str(GOLDEN.parent / name), *case["argv"])
+            assert (name, case["argv"], *got) == (name, case["argv"], case["exit"], case["stdout"])
 
     # every malformed shape is an input error, never a traceback or a misreading
     config["peripherals"] = ["abAB"]

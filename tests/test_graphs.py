@@ -516,6 +516,14 @@ def test_subgroups_of_index_pins_the_covers_and_keys(torus):
         "ace5f147dd83e52167f6b65fcb3676da3ce923d601299b5a2350055835e72002"
 
 
+def test_subgroups_of_index_pins_the_kernel_keys():
+    # subgroup_class reads most of those keys from its memo; the kernel
+    # itself, run on every cover, must give the same digest
+    keys = [graphs.canonical_key(graphs.core(g)) for g in graphs.subgroups_of_index(2, 6)]
+    assert _digest(b"\n".join(k.hex().encode() for k in keys)) == \
+        "ace5f147dd83e52167f6b65fcb3676da3ce923d601299b5a2350055835e72002"
+
+
 def test_finite_index_subgroups_cyclic(torus):
     h = graphs.subgroup_class([W("a")], surface=torus, rank=2)
     subs = graphs.finite_index_subgroups(h, 3)
@@ -550,3 +558,53 @@ def test_finite_index_subgroups_pins_the_keys(torus, k, count, digest):
     covers = graphs.finite_index_subgroups(h, k)
     assert len(covers) == count
     assert _digest(b"\n".join(c.key.hex().encode() for c in covers)) == digest
+
+
+def test_subgroup_class_keys_each_conjugacy_class_of_covers_once(monkeypatch, torus):
+    # every cover of F2 of index <= 6 and of F3 of index <= 4, shuffled, on
+    # an empty memo: each class is the kernel's, conjugate covers share one
+    # object, and the memo ends with one entry per cover
+    rng = random.Random(32)
+    for rank, k_max, surface, classes in ((2, 6, torus, 758), (3, 4, None, 653)):
+        monkeypatch.setattr(graphs, "_COVER_CLASSES", {})
+        covers = [g for k in range(1, k_max + 1) for g in graphs.subgroups_of_index(rank, k)]
+        rng.shuffle(covers)
+        got = [graphs.subgroup_class(g, surface=surface) for g in covers]
+        assert got == [graphs.SubgroupClass(graphs.canonical_key(graphs.core(g))) for g in covers]
+        assert len({id(h) for h in got}) == len(set(got)) == classes
+        assert len({id(h) for h, g in zip(got, covers) if g.vertex_count == k_max}) == \
+            {2: 624, 3: 604}[rank]
+        assert graphs._COVER_CLASSES.keys() == {bytes(g.table) for g in covers}
+
+    # rank-1 covers (cyclic), graphs with an empty slot or 256 vertices and
+    # more, and word sources are keyed as before and leave the memo alone
+    memo = graphs._COVER_CLASSES.copy()
+    for g in graphs.subgroups_of_index(1, 5):
+        assert graphs.subgroup_class(g).key == graphs.canonical_key(graphs.core(g))
+    spur = graphs.fold([W("aa"), W("b")])
+    assert -1 in spur.table
+    assert graphs.subgroup_class(spur, surface=torus).key == \
+        graphs.canonical_key(graphs.core(spur))
+    n = 300  # a shifts the vertices along a cycle, b fixes each one
+    big = graphs.CoreGraph(n, [(v, (v + 1) % n, 0) for v in range(n)] +
+                           [(v, v, 1) for v in range(n)], 2)
+    assert graphs.subgroup_class(big).key == graphs.canonical_key(big)
+    assert graphs.subgroup_class([W("aa"), W("b")], surface=torus).key == \
+        graphs.canonical_key(graphs.core(spur))
+    assert graphs._COVER_CLASSES == memo
+
+
+def test_rerootings_are_the_enumerated_conjugates():
+    # the memo files a class under the tables its conjugate covers are
+    # enumerated with: a change to either numbering fails here
+    for rank in (1, 2, 3):
+        for k in range(1, 6):
+            tables = {}
+            for g in graphs.subgroups_of_index(rank, k):
+                rerooted = graphs._rerootings(g)
+                assert len(rerooted) == k and rerooted[0] == bytes(g.table)
+                covers, seen = tables.setdefault(graphs.canonical_key(g), (set(), set()))
+                covers.add(rerooted[0])
+                seen.update(rerooted)
+            for covers, seen in tables.values():
+                assert seen == covers
