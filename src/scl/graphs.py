@@ -548,21 +548,21 @@ class SubgroupClass(Record):
         return 1 - self.euler_char
 
 
-# subgroup_class's memo: bytes(table) of each cover keyed so far, and of its
-# re-rootings, to the class they share
+# subgroup_class's memo: bytes(table) of each re-rooting of each basepointed
+# cover keyed so far, to the class they share
 _COVER_CLASSES = {}
 
 
 def _rerootings(g: CoreGraph):
-    """``bytes`` of the complete cover ``g`` re-rooted at each vertex s, in
-    order of s.
+    """``bytes`` of the complete graph ``g`` re-rooted at each vertex s, in
+    order of s, or None when ``g`` is not connected.
 
     From s the vertices are numbered by first appearance along out-slots,
     vertex by vertex and label by label: the numbering ``subgroups_of_index``
-    lists its covers in, so the first item is ``g``'s own table when ``g``
-    is one of them.  The cover re-rooted at s is that of the subgroup's
-    conjugate by a word from the basepoint to s, and every conjugate is one
-    of these (Sims 1994, ch. 5).
+    lists its covers in, so item 0 is ``g``'s own table when ``g`` is one of
+    them.  The cover re-rooted at s is that of the subgroup's conjugate by a
+    word from the basepoint to s, and every conjugate is one of these (Sims
+    1994, ch. 5).
     """
     n, width = g.vertex_count, 2 * g.rank
     table = bytes(g.table)
@@ -577,6 +577,8 @@ def _rerootings(g: CoreGraph):
                 if number[w] < 0:
                     number[w] = len(verts)
                     verts.append(w)
+        if len(verts) < n:
+            return None
         tables.append(b"".join(map(rows.__getitem__, verts)).translate(bytes(number).ljust(256)))
     return tables
 
@@ -587,23 +589,37 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
     With a surface given, rejects cyclic subgroups whose root is
     peripheral (their limit set is a single point).
 
-    A graph of rank >= 2 with no empty slot and fewer than 256 vertices
-    (every cover ``subgroups_of_index`` returns) is a finite-index subgroup,
-    never cyclic, and its conjugates are its re-rootings: it is keyed once
-    per class.  The memo maps ``bytes(g.table)`` to the class (a complete
-    table's largest entry is its vertex count less one, and its length then
-    fixes the rank); a miss keys ``core(g)`` and files the class under the
-    table of every re-rooting (``_rerootings``), so each conjugate gets the
-    same object.  It lives as long as the process and holds one entry per
-    cover keyed.  Every other source takes the path below.
+    A graph with a basepoint, rank >= 2, no empty slot and fewer than 256
+    vertices (every cover ``subgroups_of_index`` returns) is a finite-index
+    subgroup, never cyclic, and its conjugates are its re-rootings: it is
+    keyed once per class.  The memo maps ``bytes`` of a table to the class
+    (a complete table's largest entry is its vertex count less one, and its
+    length then fixes the rank).  The graph is looked up by its own table,
+    then by its re-rooting at vertex 0 (``_rerootings``), so any numbering
+    of a cover finds its class; a miss keys ``core(g)`` and files the class
+    under every re-rooted table, so each conjugate gets the same object.
+    The memo lives as long as the process and holds one entry per subgroup
+    in each class keyed.  Such a graph with more than one component is
+    refused with ``InputError``.
+
+    A graph with no basepoint stands for a class, not a subgroup
+    (``from_key``, and an orbit walk's images of it under ``pushforward``),
+    and takes the path below with every other source.
     """
     if isinstance(source, CoreGraph):
         g = source
-        if g.rank > 1 and g.vertex_count < 256 and -1 not in g.table:
+        if (g.basepoint is not None and g.rank > 1 and g.vertex_count < 256
+                and -1 not in g.table):
             h = _COVER_CLASSES.get(bytes(g.table))
+            if h is not None:
+                return h
+            tables = _rerootings(g)
+            if tables is None:
+                raise InputError(f"{g!r} is not connected: not a subgroup's graph")
+            h = _COVER_CLASSES.get(tables[0])
             if h is None:
                 h = SubgroupClass(canonical_key(core(g)))
-                _COVER_CLASSES.update(dict.fromkeys(_rerootings(g), h))
+                _COVER_CLASSES.update(dict.fromkeys(tables, h))
             return h
     else:
         if rank is None and surface is not None:

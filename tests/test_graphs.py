@@ -576,8 +576,19 @@ def test_subgroup_class_keys_each_conjugacy_class_of_covers_once(monkeypatch, to
             {2: 624, 3: 604}[rank]
         assert graphs._COVER_CLASSES.keys() == {bytes(g.table) for g in covers}
 
-    # rank-1 covers (cyclic), graphs with an empty slot or 256 vertices and
-    # more, and word sources are keyed as before and leave the memo alone
+    # a cover numbered any other way, basepoint and all, is found by a
+    # re-rooted table
+    for g, h in list(zip(covers, got))[:50]:
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        moved = graphs.CoreGraph(g.vertex_count, [(perm[u], perm[v], lab) for u, v, lab in g.edges],
+                                 rank, basepoint=perm[0])
+        assert graphs.subgroup_class(moved) is h
+    assert graphs._COVER_CLASSES.keys() == {bytes(g.table) for g in covers}
+
+    # rank-1 covers (cyclic), graphs with an empty slot, no basepoint or 256
+    # vertices and more, and word sources are keyed as before, two bouquets
+    # side by side are refused, and none of them touches the memo
     memo = graphs._COVER_CLASSES.copy()
     for g in graphs.subgroups_of_index(1, 5):
         assert graphs.subgroup_class(g).key == graphs.canonical_key(graphs.core(g))
@@ -585,13 +596,32 @@ def test_subgroup_class_keys_each_conjugacy_class_of_covers_once(monkeypatch, to
     assert -1 in spur.table
     assert graphs.subgroup_class(spur, surface=torus).key == \
         graphs.canonical_key(graphs.core(spur))
+    for g in graphs.subgroups_of_index(2, 3):
+        unrooted = graphs.CoreGraph(g.vertex_count, g.edges, 2)
+        assert graphs.subgroup_class(unrooted, surface=torus).key == graphs.canonical_key(g)
     n = 300  # a shifts the vertices along a cycle, b fixes each one
     big = graphs.CoreGraph(n, [(v, (v + 1) % n, 0) for v in range(n)] +
-                           [(v, v, 1) for v in range(n)], 2)
+                           [(v, v, 1) for v in range(n)], 2, basepoint=0)
     assert graphs.subgroup_class(big).key == graphs.canonical_key(big)
+    two = graphs.CoreGraph(2, [(v, v, lab) for v in (0, 1) for lab in (0, 1)], 2, basepoint=0)
+    with pytest.raises(InputError, match="not connected"):
+        graphs.subgroup_class(two)
     assert graphs.subgroup_class([W("aa"), W("b")], surface=torus).key == \
         graphs.canonical_key(graphs.core(spur))
     assert graphs._COVER_CLASSES == memo
+
+
+def test_an_orbit_walk_of_finite_index_classes_leaves_the_memo_alone(monkeypatch, torus):
+    # a twist's image of a class has no basepoint: it is keyed by the kernel,
+    # as before, and files nothing
+    monkeypatch.setattr(graphs, "_COVER_CLASSES", {})
+    twists = mcg.twist_generators(torus)
+    for g in graphs.subgroups_of_index(2, 4):
+        h = graphs.SubgroupClass(graphs.canonical_key(graphs.core(g)))
+        for phi in twists:
+            image = graphs.pushforward(graphs.from_key(h.key), phi.images)
+            assert mcg.act_on_subgroup(phi, h, torus).key == graphs.canonical_key(graphs.core(image))
+    assert graphs._COVER_CLASSES == {}
 
 
 def test_rerootings_are_the_enumerated_conjugates():
