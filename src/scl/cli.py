@@ -137,7 +137,7 @@ def _cmd_length(args):
         eta = currents.parse_current(args.current, args.surface)
         b = currents.boundary_projection(eta, args.surface)
         _emit_json(args, {
-            "lsc": currents.length_sc(eta, args.surface),
+            "lsc": currents.length_gc(b, args.surface),
             "boundary": currents.multicurve_payload(b),
         })
     return 0

@@ -32,7 +32,7 @@ DEFAULT_BALL_CAP = 1_000_000
 # _LEAVE[b] is the dart slot at which the letter of byte b leaves its vertex
 # (2 * lab, or 2 * lab + 1 for an inverse letter); it arrives at the next
 # vertex at the slot ^ 1, _ARRIVE[b].  _FLIP maps a slot to its ^ 1.
-_LEAVE = bytes([0, *range(0, 52, 2), *range(1, 52, 2)]).ljust(256, b"\0")
+_LEAVE = bytes([0, *(2 * abs(l) - 2 + (l < 0) for l in words._LETTER[1:])]).ljust(256, b"\0")
 _FLIP = bytes(x ^ 1 for x in range(256))
 _ARRIVE = _LEAVE.translate(_FLIP)
 _UNSET = array("i", [-1])
@@ -48,6 +48,9 @@ class CoreGraph:
     ``2 * lab + 1`` the tail of the label-``lab`` edge into u, and -1 marks
     an empty slot.  It is the graph's one stored form: ``edges`` lists it
     as sorted ``(src, dst, label)`` triples with labels in ``[0, n)``.
+
+    It is connected, and its basepoint, if any, is a vertex: the
+    constructor refuses any other graph, and every producer builds one.
     """
 
     __slots__ = ("vertex_count", "table", "rank", "basepoint")
@@ -63,8 +66,12 @@ class CoreGraph:
             if table[out] >= 0 or table[into] >= 0:
                 raise InputError(f"edge {(u, v, lab)} fills a slot twice: not a folded graph")
             table[out], table[into] = v, u
+        if basepoint is not None and not 0 <= basepoint < vertex_count:
+            raise InputError(f"basepoint {basepoint} is outside {vertex_count} vertices")
         self.vertex_count, self.table, self.rank = vertex_count, tuple(table), rank
         self.basepoint = basepoint
+        if vertex_count and len(_spanning_tree(self)[0]) < vertex_count:
+            raise InputError(f"{self!r} is not connected: not a subgroup's graph")
 
     @classmethod
     def _of(cls, vertex_count, table, rank, basepoint=None):
@@ -537,11 +544,8 @@ class SubgroupClass(Record):
 
     @property
     def euler_char(self):
-        """V - E, read off the key: V from the header, and each edge is
-        listed twice (at its source and its target) among the entries."""
-        _, vertex_count, body = self.key.split(b";", 2)
-        enc = array("i", body)
-        return int(vertex_count) - (len(enc) - enc.count(-1)) // 2
+        """V - E = 1 - the cycle rank of the core graph ``from_key`` reads."""
+        return 1 - from_key(self.key).cycle_rank
 
     @property
     def rank(self):
@@ -555,7 +559,7 @@ _COVER_CLASSES = {}
 
 def _rerootings(g: CoreGraph):
     """``bytes`` of the complete graph ``g`` re-rooted at each vertex s, in
-    order of s, or None when ``g`` is not connected.
+    order of s.
 
     From s the vertices are numbered by first appearance along out-slots,
     vertex by vertex and label by label: the numbering ``subgroups_of_index``
@@ -577,8 +581,6 @@ def _rerootings(g: CoreGraph):
                 if number[w] < 0:
                     number[w] = len(verts)
                     verts.append(w)
-        if len(verts) < n:
-            return None
         tables.append(b"".join(map(rows.__getitem__, verts)).translate(bytes(number).ljust(256)))
     return tables
 
@@ -599,8 +601,7 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
     of a cover finds its class; a miss keys ``core(g)`` and files the class
     under every re-rooted table, so each conjugate gets the same object.
     The memo lives as long as the process and holds one entry per subgroup
-    in each class keyed.  Such a graph with more than one component is
-    refused with ``InputError``.
+    in each class keyed.
 
     A graph with no basepoint stands for a class, not a subgroup
     (``from_key``, and an orbit walk's images of it under ``pushforward``),
@@ -614,8 +615,6 @@ def subgroup_class(source, surface=None, rank=None) -> SubgroupClass:
             if h is not None:
                 return h
             tables = _rerootings(g)
-            if tables is None:
-                raise InputError(f"{g!r} is not connected: not a subgroup's graph")
             h = _COVER_CLASSES.get(tables[0])
             if h is None:
                 h = SubgroupClass(canonical_key(core(g)))
@@ -639,7 +638,7 @@ def check_not_peripheral(root: words.ConjClass, mult: int, surface) -> None:
     Takes the split ``(root, mult)`` that ``words.primitive_root`` returns,
     or one known already, such as a primitive curve and a power of it.
     """
-    if words.is_peripheral(root, mult, surface)[0]:
+    if words.is_peripheral(root, mult, surface):
         raise PeripheralSubgroupError(
             "cyclic subgroup with peripheral root is outside the subgroup universe"
         )

@@ -51,7 +51,7 @@ from .graphs import DEFAULT_BALL_CAP, SubgroupClass
 
 
 # maps the byte of each letter to the byte of its generator
-_UNSIGNED = bytes(b - 26 if b > 26 else b for b in range(53)).ljust(256, b"\0")
+_UNSIGNED = bytes([0, *(words._BYTE[abs(l)] for l in words._LETTER[1:])]).ljust(256, b"\0")
 
 
 def _class_hash(w: bytes, rank) -> int:

@@ -122,7 +122,7 @@ def classify_boundary(g, surface) -> BoundaryReport:
         entry = cusp_walks.get(cyc)
         if entry is None:
             root, mult = words.primitive_root(words.conj_class(cyc))
-            if words.is_peripheral(root, mult, surface)[0]:
+            if words.is_peripheral(root, mult, surface):
                 entry = cusp_walks[cyc] = (root, "cusp", mult)
             else:
                 entry = (root, "geodesic", mult)

@@ -326,9 +326,9 @@ def is_peripheral(root: ConjClass, mult: int, surface):
     Takes the split ``(root, mult)`` that :func:`primitive_root` returns.
     Decided combinatorially: ``root^mult`` equals ``class(p^m)`` for a
     peripheral word ``p`` iff their primitive roots agree and the
-    multiplicities divide.  Returns ``(True, m)`` or ``(False, None)``.
+    multiplicities divide.
     """
     for p_root, p_mult in surface.peripheral_roots:
         if root == p_root and mult % p_mult == 0:
-            return True, mult // p_mult
-    return False, None
+            return True
+    return False

@@ -70,7 +70,7 @@ def random_multicurve(rng, surface, max_classes=4, max_len=10):
         except Exception:
             continue
         root, _ = words.primitive_root(c)
-        if words.is_peripheral(root, 1, surface)[0]:
+        if words.is_peripheral(root, 1, surface):
             continue
         from fractions import Fraction
         weights[root] = Fraction(rng.randint(1, 9), rng.randint(1, 9))

@@ -318,16 +318,25 @@ def test_edge_list_round_trips_through_the_slot_table(rng):
             assert graphs.canonical_key(rebuilt) == graphs.canonical_key(h)
 
 
-@pytest.mark.parametrize("vertex_count, edges, rank", [
-    (2, [(0, 1, 0), (0, 0, 0)], 1),
-    (2, [(0, 1, 0), (1, 1, 0)], 1),
-    (2, [(0, 2, 0)], 2),
-    (2, [(-1, 0, 0)], 2),
-    (2, [(0, 1, 2)], 2),
-], ids=["out-slot-twice", "in-slot-twice", "vertex-high", "vertex-negative", "label-high"])
-def test_core_graph_refuses_an_edge_list_no_folded_graph_has(vertex_count, edges, rank):
+@pytest.mark.parametrize("vertex_count, edges, rank, basepoint", [
+    (2, [(0, 1, 0), (0, 0, 0)], 1, None),
+    (2, [(0, 1, 0), (1, 1, 0)], 1, None),
+    (2, [(0, 2, 0)], 2, None),
+    (2, [(-1, 0, 0)], 2, None),
+    (2, [(0, 1, 2)], 2, None),
+    (2, [(0, 0, 0), (1, 1, 0)], 2, None),
+    (3, [(0, 0, 0), (1, 2, 0), (2, 1, 0)], 1, None),
+    (2, [(v, v, lab) for v in (0, 1) for lab in (0, 1)], 2, None),
+    (1, [(0, 0, 0)], 1, 1),
+    (1, [(0, 0, 0)], 1, -1),
+    (0, [], 2, 0),
+], ids=["out-slot-twice", "in-slot-twice", "vertex-high", "vertex-negative", "label-high",
+        "two-loops", "loop-beside-2-cycle", "two-bouquets", "basepoint-high",
+        "basepoint-negative", "basepoint-without-vertices"])
+def test_core_graph_refuses_an_edge_list_no_folded_graph_has(vertex_count, edges, rank,
+                                                             basepoint):
     with pytest.raises(InputError):
-        graphs.CoreGraph(vertex_count, edges, rank)
+        graphs.CoreGraph(vertex_count, edges, rank, basepoint=basepoint)
 
 
 def test_core_of_a_graph_without_cycles_is_trivial():
@@ -587,8 +596,8 @@ def test_subgroup_class_keys_each_conjugacy_class_of_covers_once(monkeypatch, to
     assert graphs._COVER_CLASSES.keys() == {bytes(g.table) for g in covers}
 
     # rank-1 covers (cyclic), graphs with an empty slot, no basepoint or 256
-    # vertices and more, and word sources are keyed as before, two bouquets
-    # side by side are refused, and none of them touches the memo
+    # vertices and more, and word sources are keyed as before, and none of
+    # them touches the memo; two bouquets side by side are no graph at all
     memo = graphs._COVER_CLASSES.copy()
     for g in graphs.subgroups_of_index(1, 5):
         assert graphs.subgroup_class(g).key == graphs.canonical_key(graphs.core(g))
@@ -603,9 +612,8 @@ def test_subgroup_class_keys_each_conjugacy_class_of_covers_once(monkeypatch, to
     big = graphs.CoreGraph(n, [(v, (v + 1) % n, 0) for v in range(n)] +
                            [(v, v, 1) for v in range(n)], 2, basepoint=0)
     assert graphs.subgroup_class(big).key == graphs.canonical_key(big)
-    two = graphs.CoreGraph(2, [(v, v, lab) for v in (0, 1) for lab in (0, 1)], 2, basepoint=0)
     with pytest.raises(InputError, match="not connected"):
-        graphs.subgroup_class(two)
+        graphs.CoreGraph(2, [(v, v, lab) for v in (0, 1) for lab in (0, 1)], 2, basepoint=0)
     assert graphs.subgroup_class([W("aa"), W("b")], surface=torus).key == \
         graphs.canonical_key(graphs.core(spur))
     assert graphs._COVER_CLASSES == memo

@@ -107,7 +107,7 @@ def test_classify_rank_two():
 
 
 def _is_cusp(split, surface):
-    return words.is_peripheral(*split, surface)[0]
+    return words.is_peripheral(*split, surface)
 
 
 def test_one_root_split_per_boundary_walk(monkeypatch):
@@ -142,7 +142,7 @@ def _reference(g, surface):
     out = []
     for w in ribbon.boundary_cycles(g, surface.ribbon_order):
         root, mult = words.primitive_root(words.conj_class(w))
-        out.append((root, "cusp" if words.is_peripheral(root, mult, surface)[0] else "geodesic",
+        out.append((root, "cusp" if words.is_peripheral(root, mult, surface) else "geodesic",
                     mult))
     return tuple(out)
 

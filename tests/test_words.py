@@ -283,14 +283,14 @@ def test_is_peripheral_examples(torus):
     def split(text):
         return words.primitive_root(words.conj_class(W(text)))
 
-    assert words.is_peripheral(*split("abAB"), torus) == (True, 1)
-    assert words.is_peripheral(*split("abABabAB"), torus) == (True, 2)
-    assert words.is_peripheral(*split("a"), torus) == (False, None)
+    assert words.is_peripheral(*split("abAB"), torus) is True
+    assert words.is_peripheral(*split("abABabAB"), torus) is True
+    assert words.is_peripheral(*split("a"), torus) is False
 
 
 def test_is_peripheral_conjugated_powers(torus):
     w = words.reduce(W("ba") + W("abABabAB") + W("AB"))
-    assert words.is_peripheral(*words.primitive_root(words.conj_class(w)), torus) == (True, 2)
+    assert words.is_peripheral(*words.primitive_root(words.conj_class(w)), torus) is True
 
 
 def test_peripheral_matches_trace_classification(torus, rng):
@@ -300,7 +300,7 @@ def test_peripheral_matches_trace_classification(torus, rng):
             c = words.conj_class(w)
         except TrivialWordError:
             continue
-        peripheral, _ = words.is_peripheral(*words.primitive_root(c), torus)
+        peripheral = words.is_peripheral(*words.primitive_root(c), torus)
         assert peripheral == (geometry.classify(w, torus) == "parabolic")
 
 
